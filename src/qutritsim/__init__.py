@@ -44,6 +44,7 @@ from .schedules import (
     PhasePulse,
     PulseSchedule,
     RotationPulse,
+    ScheduleValidationError,
     parallel_merge,
     simulate_density,
     simulate_unitary,

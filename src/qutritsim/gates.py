@@ -20,6 +20,7 @@ from .core import (
 )
 
 _SUBSPACE_LEVELS = {"01": (0, 1), "12": (1, 2), "02": (0, 2)}
+_AXES = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class SubspaceRotation:
     def __post_init__(self):
         if self.subspace not in _SUBSPACE_LEVELS:
             raise ValueError(f"unknown subspace {self.subspace!r}")
-        if self.axis not in ("x", "y", "z"):
+        if self.axis not in _AXES:
             raise ValueError(f"unknown axis {self.axis!r}")
 
     def generator(self) -> np.ndarray:

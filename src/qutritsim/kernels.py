@@ -1,46 +1,17 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy implementations.
+"""Hot numeric kernels of the register simulators.
 
-The register simulators spend most of their time applying site-local Kraus
+The density simulator spends most of its time applying site-local Kraus
 operators and diagonal phase evolutions to 243-dimensional density
-matrices.  Both code paths compute identical results; the active path is
-chosen at import time.  Set ``QUTRITSIM_PURE_NUMPY=1`` to force the numpy
-fallback (also used automatically when numba is unavailable).
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+matrices; readout spends its time mixing probability vectors through
+per-site confusion matrices.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("QUTRITSIM_PURE_NUMPY", "0") not in ("", "0", "false")
 
-try:  # pragma: no cover - exercised via env flag in tests
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled by QUTRITSIM_PURE_NUMPY")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-
-def apply_site_kraus_numpy(rho: np.ndarray, kraus: np.ndarray, left: int, site: int, right: int) -> np.ndarray:
+def apply_site_kraus(rho: np.ndarray, kraus: np.ndarray, left: int, site: int, right: int) -> np.ndarray:
     """Sum_m (I x K_m x I) rho (I x K_m x I)^dag for one register slot.
 
     ``rho`` is (left*site*right)^2; ``kraus`` is (m, site, site).
@@ -48,24 +19,19 @@ def apply_site_kraus_numpy(rho: np.ndarray, kraus: np.ndarray, left: int, site: 
     dim = left * site * right
     r = rho.reshape(left, site, right, left, site, right)
     out = np.zeros_like(r)
-    for k in kernel_iter(kraus):
+    for k in kraus:
         tmp = np.einsum("ab,LbRlcr->LaRlcr", k, r, optimize=True)
         out += np.einsum("LaRlcr,dc->LaRldr", tmp, k.conj(), optimize=True)
     return out.reshape(dim, dim)
 
 
-def kernel_iter(kraus: np.ndarray):
-    for i in range(kraus.shape[0]):
-        yield kraus[i]
-
-
-def apply_diag_phases_numpy(rho: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def apply_diag_phases(rho: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Conjugate rho by diag(exp(-1j*phases))."""
     u = np.exp(-1j * phases)
     return (u[:, None] * rho) * u.conj()[None, :]
 
 
-def confusion_mix_numpy(probs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+def confusion_mix(probs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Apply per-site column-stochastic matrices to a base-d probability vector.
 
     ``probs`` has length d**n; ``mats`` is (n, d, d) ordered site 1 first.
@@ -77,106 +43,5 @@ def confusion_mix_numpy(probs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return p.reshape(-1)
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _apply_site_kraus_numba(rho, kraus, left, site, right):  # pragma: no cover - jit
-    dim = left * site * right
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    tmp = np.zeros((dim, dim), dtype=np.complex128)
-    for m in range(kraus.shape[0]):
-        k = kraus[m]
-        tmp[:, :] = 0.0
-        # tmp = (I x K x I) rho: whole-row updates keep memory contiguous
-        for lft in range(left):
-            for a in range(site):
-                ra = (lft * site + a) * right
-                for b in range(site):
-                    kab = k[a, b]
-                    if kab == 0.0:
-                        continue
-                    rb = (lft * site + b) * right
-                    for rgt in range(right):
-                        tmp[ra + rgt] += kab * rho[rb + rgt]
-        # out += tmp (I x K x I)^dag: row-at-a-time for cache locality
-        for r in range(dim):
-            trow = tmp[r]
-            orow = out[r]
-            for lft in range(left):
-                base = lft * site * right
-                for dd in range(site):
-                    cd = base + dd * right
-                    for c in range(site):
-                        kdc = np.conj(k[dd, c])
-                        if kdc == 0.0:
-                            continue
-                        cc = base + c * right
-                        for rgt in range(right):
-                            orow[cd + rgt] += kdc * trow[cc + rgt]
-    return out
-
-
-@njit(cache=True)
-def _apply_diag_phases_numba(rho, phases):  # pragma: no cover - jit
-    dim = rho.shape[0]
-    out = np.empty_like(rho)
-    u = np.exp(-1j * phases)
-    for i in range(dim):
-        for j in range(dim):
-            out[i, j] = u[i] * rho[i, j] * np.conj(u[j])
-    return out
-
-
-@njit(cache=True)
-def _confusion_mix_numba(probs, mats):  # pragma: no cover - jit
-    n = mats.shape[0]
-    d = mats.shape[1]
-    dim = probs.shape[0]
-    cur = probs.copy()
-    nxt = np.zeros(dim)
-    stride = dim
-    for s in range(n):
-        stride //= d
-        nxt[:] = 0.0
-        for idx in range(dim):
-            digit = (idx // stride) % d
-            base = idx - digit * stride
-            for out_digit in range(d):
-                nxt[base + out_digit * stride] += mats[s, out_digit, digit] * cur[idx]
-        cur, nxt = nxt, cur
-    return cur
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    def apply_site_kraus(rho, kraus, left, site, right):
-        return _apply_site_kraus_numba(
-            np.ascontiguousarray(rho), np.ascontiguousarray(kraus), left, site, right
-        )
-
-    def apply_diag_phases(rho, phases):
-        return _apply_diag_phases_numba(
-            np.ascontiguousarray(rho), np.ascontiguousarray(phases, dtype=np.float64)
-        )
-
-    def confusion_mix(probs, mats):
-        return _confusion_mix_numba(
-            np.ascontiguousarray(probs, dtype=np.float64),
-            np.ascontiguousarray(mats, dtype=np.float64),
-        )
-
-else:
-    apply_site_kraus = apply_site_kraus_numpy
-    apply_diag_phases = apply_diag_phases_numpy
-    confusion_mix = confusion_mix_numpy
-
-
 def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    return "numpy"

@@ -4,29 +4,56 @@ A schedule is an ordered list of items: timed free evolutions under the
 always-on two-qutrit dispersive coupling, instantaneous local pulses
 (rotations, level permutations, software phase corrections), timed
 conditional-pi entangling gates, and ``Concurrent`` blocks that run
-several timed items over the same wall-clock interval.
+several timed items over the same wall-clock interval.  Items check
+their own fields and the schedule checks their sites when they are
+built, so malformed input fails with :class:`ScheduleValidationError`
+before any simulation starts.
 
-Two simulators walk a schedule: :func:`simulate_unitary` composes the
-ideal unitary, and :func:`simulate_density` evolves a density matrix with
-optional per-segment relaxation and dephasing channels and optional
-always-on background couplings.
+:meth:`ScheduleSimulator.steps` is the one walk from items to register
+steps.  :func:`simulate_unitary` composes the ideal unitary from those
+steps, and :func:`simulate_density` evolves a density matrix through them,
+adding optional always-on background couplings and per-segment
+relaxation and dephasing channels at the end of each timed segment.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
+from numbers import Integral
 
 import numpy as np
 
 from . import kernels
-from .core import DimensionMismatchError, QuditIndexing, QuditOperator
+from .core import DimensionMismatchError, QuditIndexing, QuditOperator, embed
 from .gates import (
+    _AXES,
+    _SUBSPACE_LEVELS,
     conditional_pi_partial,
     permutation_matrix,
     rotation_matrix,
 )
+
+
+class ScheduleValidationError(ValueError):
+    """A schedule item or schedule is malformed; raised when it is built."""
+
+
+def _check(ok: bool, message: str, *args) -> None:
+    # the message is formatted only on failure: a protocol builds thousands of items
+    if not ok:
+        raise ScheduleValidationError(message.format(*args))
+
+
+def _check_finite(name: str, *values: float) -> None:
+    _check(all(math.isfinite(v) for v in values), "{} must be finite, got {!r}", name, values)
+
+
+def _check_duration(duration: float) -> None:
+    _check_finite("durations", duration)
+    _check(duration >= 0, "durations must be nonnegative, got {!r}", duration)
 
 
 @dataclass(frozen=True)
@@ -41,9 +68,7 @@ class CrossKerrCoeffs:
     alpha_22: float
 
     def __post_init__(self):
-        for a in (self.alpha_11, self.alpha_12, self.alpha_21, self.alpha_22):
-            if not np.isfinite(a):
-                raise ValueError("cross-Kerr coefficients must be finite")
+        _check_finite("cross-Kerr coefficients", self.alpha_11, self.alpha_12, self.alpha_21, self.alpha_22)
 
     @classmethod
     def from_khz(cls, a11: float, a12: float, a21: float, a22: float) -> "CrossKerrCoeffs":
@@ -81,8 +106,9 @@ class Evolve:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        if self.duration < 0:
-            raise ValueError("durations must be nonnegative")
+        bad = [p for p in self.pairs if len(p) != 2 or p[0] == p[1]]
+        _check(not bad, "evolve pairs must join two distinct sites, got {!r}", bad)
+        _check_duration(self.duration)
 
 
 @dataclass(frozen=True)
@@ -92,6 +118,11 @@ class RotationPulse:
     axis: str
     angle: float
 
+    def __post_init__(self):
+        _check(self.subspace in _SUBSPACE_LEVELS, "unknown subspace {!r}", self.subspace)
+        _check(self.axis in _AXES, "unknown axis {!r}", self.axis)
+        _check_finite("rotation angles", self.angle)
+
     def inverse(self) -> "RotationPulse":
         return RotationPulse(self.site, self.subspace, self.axis, -self.angle)
 
@@ -100,6 +131,9 @@ class RotationPulse:
 class PermutationPulse:
     site: int
     subspace: str  # "01" | "12" | "02"
+
+    def __post_init__(self):
+        _check(self.subspace in _SUBSPACE_LEVELS, "unknown subspace {!r}", self.subspace)
 
     def inverse(self) -> "PermutationPulse":
         return self
@@ -111,6 +145,10 @@ class PhasePulse:
 
     site: int
     phases: tuple[float, float, float]
+
+    def __post_init__(self):
+        _check(len(self.phases) == 3, "a phase pulse needs 3 phases, got {!r}", self.phases)
+        _check_finite("phases", *self.phases)
 
     def inverse(self) -> "PhasePulse":
         return PhasePulse(self.site, tuple(-p for p in self.phases))
@@ -129,8 +167,11 @@ class ConditionalPiPulse:
     fraction: float = 1.0
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("durations must be nonnegative")
+        _check(self.control != self.target, "control and target are both site {!r}", self.control)
+        ok = isinstance(self.condition, Integral) and self.condition in (0, 1, 2)
+        _check(ok, "condition must be level 0, 1 or 2, got {!r}", self.condition)
+        _check_duration(self.duration)
+        _check_finite("fractions", self.fraction)
 
     def inverse(self) -> "ConditionalPiPulse":
         return ConditionalPiPulse(
@@ -147,11 +188,23 @@ class Concurrent:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        if self.duration < 0:
-            raise ValueError("durations must be nonnegative")
+        _check_duration(self.duration)
 
 
 TimedItem = (Evolve, ConditionalPiPulse, Concurrent)
+
+
+def _sites(item) -> tuple:
+    """The sites an item acts on, for checking them against a register."""
+    if isinstance(item, Concurrent):
+        return tuple(s for part in item.parts for s in _sites(part))
+    if isinstance(item, Evolve):
+        return tuple(s for p in item.pairs for s in p)
+    if isinstance(item, ConditionalPiPulse):
+        return (item.control, item.target)
+    if isinstance(item, (RotationPulse, PermutationPulse, PhasePulse)):
+        return (item.site,)
+    raise ScheduleValidationError(f"unknown schedule item {item!r}")
 
 
 @dataclass(frozen=True)
@@ -163,6 +216,9 @@ class PulseSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
+        for item in self.items:
+            bad = [s for s in _sites(item) if not (isinstance(s, Integral) and 1 <= s <= self.n_sites)]
+            _check(not bad, "{!r} acts on sites {} that are not integers in 1..{}", item, bad, self.n_sites)
 
     @property
     def total_duration(self) -> float:
@@ -299,18 +355,8 @@ def _evolve_phases(pairs, duration, couplings, digit_table) -> np.ndarray:
     return phases
 
 
-def _local_matrix(item) -> tuple[int, np.ndarray]:
-    if isinstance(item, RotationPulse):
-        return item.site, rotation_matrix(item.subspace, item.axis, item.angle)
-    if isinstance(item, PermutationPulse):
-        return item.site, permutation_matrix(item.subspace)
-    if isinstance(item, PhasePulse):
-        return item.site, np.diag(np.exp(1j * np.asarray(item.phases)))
-    raise TypeError(f"not a local pulse: {item!r}")
-
-
 class ScheduleSimulator:
-    """Shared plumbing for composing schedule items on an n-site register."""
+    """The one walk from schedule items to steps on an n-site register."""
 
     def __init__(self, n: int, couplings: dict | None = None, d: int = 3):
         self.n = n
@@ -319,55 +365,80 @@ class ScheduleSimulator:
         self.couplings = dict(couplings or {})
         self.digit_table = self.indexing.digit_table()
 
-    def embed_local(self, site: int, m: np.ndarray) -> np.ndarray:
-        from .core import embed
+    def item_unitary(self, item: ConditionalPiPulse) -> np.ndarray:
+        """Full-register matrix of a (fractional) conditional-pi gate."""
+        gate = conditional_pi_partial(item.condition, item.fraction)
+        return embed(gate, [item.control, item.target], self.n, self.d).matrix
 
-        return embed(m, [site], self.n, self.d).matrix
+    def steps(self, items):
+        """Yield the register steps of ``items`` in order:
 
-    def embed_pair(self, sites: tuple[int, int], m: np.ndarray) -> np.ndarray:
-        from .core import embed
+        - ``("site", site, m)``: a d x d local pulse ``m`` on one site;
+        - ``("diag", phases)``: ``diag(exp(-1j * phases))``, an ``Evolve``;
+        - ``("dense", u)``: a full-register conditional-pi gate;
+        - ``("segment", duration, excluded)``: after each top-level timed
+          item or ``Concurrent`` block, the wall-clock interval it spans;
+          always-on background couplings act on every pair except the
+          ``excluded`` ones (frozensets) that the segment already drives.
+        """
+        for item in items:
+            excluded: set = set()
+            yield from self._item_steps(item, excluded)
+            if isinstance(item, TimedItem):
+                yield ("segment", item.duration, excluded)
 
-        return embed(m, list(sites), self.n, self.d).matrix
-
-    def item_unitary(self, item) -> np.ndarray:
-        if isinstance(item, Evolve):
-            phases = _evolve_phases(item.pairs, item.duration, self.couplings, self.digit_table)
-            return np.diag(np.exp(-1j * phases))
-        if isinstance(item, ConditionalPiPulse):
-            gate = conditional_pi_partial(item.condition, item.fraction)
-            return self.embed_pair((item.control, item.target), gate)
+    def _item_steps(self, item, excluded: set):
         if isinstance(item, Concurrent):
-            u = np.eye(self.indexing.dim, dtype=complex)
             for part in item.parts:
-                u = self.item_unitary(part) @ u
-            return u
-        site, m = _local_matrix(item)
-        return self.embed_local(site, m)
+                yield from self._item_steps(part, excluded)
+        elif isinstance(item, Evolve):
+            excluded.update(frozenset(p) for p in item.pairs)
+            yield ("diag", _evolve_phases(item.pairs, item.duration, self.couplings, self.digit_table))
+        elif isinstance(item, ConditionalPiPulse):
+            excluded.add(frozenset((item.control, item.target)))
+            yield ("dense", self.item_unitary(item))
+        elif isinstance(item, RotationPulse):
+            yield ("site", item.site, rotation_matrix(item.subspace, item.axis, item.angle))
+        elif isinstance(item, PermutationPulse):
+            yield ("site", item.site, permutation_matrix(item.subspace))
+        elif isinstance(item, PhasePulse):
+            yield ("site", item.site, np.diag(np.exp(1j * np.asarray(item.phases))))
+        else:
+            raise TypeError(f"unknown schedule item {item!r}")
 
 
 def simulate_unitary(schedule: PulseSchedule, couplings: dict | None = None, d: int = 3) -> QuditOperator:
     """Compose the ideal unitary of a schedule."""
     sim = ScheduleSimulator(schedule.n_sites, couplings, d)
-    u = np.eye(sim.indexing.dim, dtype=complex)
-    for item in schedule.items:
-        u = sim.item_unitary(item) @ u
+    dim = sim.indexing.dim
+    u = np.eye(dim, dtype=complex)
+    for step in sim.steps(schedule.items):
+        match step:
+            case ("site", site, m):
+                rows = u.reshape(d ** (site - 1), d, -1)
+                u = np.einsum("ab,lbr->lar", m, rows).reshape(dim, dim)
+            case ("diag", phases):
+                u = np.exp(-1j * phases)[:, None] * u
+            case ("dense", gate):
+                u = gate @ u
     return QuditOperator(u, sim.indexing)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
     """Per-site relaxation and dephasing rates used by the density simulator.
 
     ``damping[i]`` is (T1_10, T1_21) and ``dephasing[i]`` is
     (T2_01, T2_12, T2_02), in seconds, for 1-based site i+1; ``scale``
-    multiplies all decay rates (0 disables noise).
+    multiplies all decay rates (0 disables noise).  The model is frozen
+    because its Kraus cache is keyed on (site, duration) only.
     """
 
     damping: list[tuple[float, float]]
     dephasing: list[tuple[float, float, float]]
     scale: float = 1.0
 
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def site_kraus(self, site: int, duration: float) -> np.ndarray | None:
         if self.scale <= 0.0 or duration <= 0.0:
@@ -380,11 +451,7 @@ class NoiseModel:
             damp = amplitude_damping_channel(duration, t1a / self.scale, t1b / self.scale)
             t2 = self.dephasing[site - 1]
             deph = dephasing_channel(duration, *(t / self.scale for t in t2))
-            stack = []
-            for kd in damp.kraus:
-                for kp in deph.kraus:
-                    stack.append(kd @ kp)
-            self._cache[key] = np.array(stack)
+            self._cache[key] = np.array([kd @ kp for kd in damp.kraus for kp in deph.kraus])
         return self._cache[key]
 
 
@@ -402,67 +469,32 @@ def simulate_density(
     during every timed item (always-on couplings), excluding the pair a
     conditional-pi gate acts on and any pair already listed by the item.
     """
-    sim = ScheduleSimulator(schedule.n_sites, couplings, d)
+    n = schedule.n_sites
+    sim = ScheduleSimulator(n, couplings, d)
     rho = np.asarray(rho0, dtype=complex).copy()
     background = dict(background_pairs or {})
 
-    def apply_noise(duration: float):
-        nonlocal rho
-        if noise is None or duration <= 0:
-            return
-        for site in range(1, schedule.n_sites + 1):
-            stack = noise.site_kraus(site, duration)
-            if stack is None:
-                continue
-            left = d ** (site - 1)
-            right = d ** (schedule.n_sites - site)
-            rho = kernels.apply_site_kraus(rho, stack, left, d, right)
+    def on_site(rho, site, kraus):
+        return kernels.apply_site_kraus(rho, kraus, d ** (site - 1), d, d ** (n - site))
 
-    def apply_background(duration: float, exclude: set):
-        nonlocal rho
-        if not background or duration <= 0:
-            return
-        pairs = [p for p in background if frozenset(p) not in exclude]
-        if not pairs:
-            return
-        phases = _evolve_phases(pairs, duration, background, sim.digit_table)
-        rho = kernels.apply_diag_phases(rho, phases)
-
-    def run_item(item, top_level: bool):
-        nonlocal rho
-        if isinstance(item, Concurrent):
-            exclude = set()
-            for part in item.parts:
-                run_item(part, top_level=False)
-                if isinstance(part, ConditionalPiPulse):
-                    exclude.add(frozenset((part.control, part.target)))
-                if isinstance(part, Evolve):
-                    exclude.update(frozenset(p) for p in part.pairs)
-            apply_background(item.duration, exclude)
-            apply_noise(item.duration)
-            return
-        if isinstance(item, Evolve):
-            phases = _evolve_phases(item.pairs, item.duration, sim.couplings, sim.digit_table)
-            rho = kernels.apply_diag_phases(rho, phases)
-            if top_level:
-                exclude = {frozenset(p) for p in item.pairs}
-                apply_background(item.duration, exclude)
-                apply_noise(item.duration)
-            return
-        if isinstance(item, ConditionalPiPulse):
-            u = sim.item_unitary(item)
-            rho = u @ rho @ u.conj().T
-            if top_level:
-                apply_background(item.duration, {frozenset((item.control, item.target))})
-                apply_noise(item.duration)
-            return
-        site, m = _local_matrix(item)
-        left = d ** (site - 1)
-        right = d ** (schedule.n_sites - site)
-        rho = kernels.apply_site_kraus(rho, m[None, :, :], left, d, right)
-
-    for item in schedule.items:
-        run_item(item, top_level=True)
+    for step in sim.steps(schedule.items):
+        match step:
+            case ("site", site, m):
+                rho = on_site(rho, site, m[None, :, :])
+            case ("diag", phases):
+                rho = kernels.apply_diag_phases(rho, phases)
+            case ("dense", u):
+                rho = u @ rho @ u.conj().T
+            case ("segment", duration, excluded) if duration > 0:
+                pairs = [p for p in background if frozenset(p) not in excluded]
+                if pairs:
+                    phases = _evolve_phases(pairs, duration, background, sim.digit_table)
+                    rho = kernels.apply_diag_phases(rho, phases)
+                if noise is not None:
+                    for site in range(1, n + 1):
+                        stack = noise.site_kraus(site, duration)
+                        if stack is not None:
+                            rho = on_site(rho, site, stack)
     return rho
 
 

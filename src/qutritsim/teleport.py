@@ -101,8 +101,7 @@ def _csum_block(
     """CSUM-skeleton schedule: Hadamard on the target, four-segment phase
     core on the pair, inverse Hadamard on the target."""
     pair = (min(control, target), max(control, target))
-    pair_coeffs = coeffs if pair == tuple(sorted(pair)) else coeffs
-    times = solve_four_segment(pair_coeffs, phases, prefer_total=prefer_total)
+    times = solve_four_segment(coeffs, phases, prefer_total=prefer_total)
     core = build_four_segment_schedule(pair, times, n_sites)
     items = (
         _rotation_items(target, _H_PULSES) + list(core.items) + _rotation_items(target, _HDAG_PULSES)

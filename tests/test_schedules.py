@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from qutritsim.schedules import (
     PhasePulse,
     PulseSchedule,
     RotationPulse,
+    ScheduleValidationError,
     parallel_merge,
     simulate_density,
     simulate_unitary,
@@ -65,11 +69,92 @@ def test_missing_coupling_raises():
         simulate_unitary(sched, {})
 
 
-def test_durations_nonnegative():
-    with pytest.raises(ValueError):
-        Evolve(((1, 2),), -1e-9)
-    with pytest.raises(ValueError):
-        ConditionalPiPulse(1, 2, -1e-9)
+def _pulse(**fields):
+    return {"type": "pulse", "site": 1, "subspace": "01", "axis": "x", "angle_rad": 0.5, **fields}
+
+
+def _cpi(**fields):
+    return {"type": "conditional_pi", "control": 1, "target": 2, "duration_ns": "100", **fields}
+
+
+def _evolve(**fields):
+    return {"type": "evolve", "pairs": [[1, 2]], "duration_ns": "100", **fields}
+
+
+@pytest.mark.parametrize(
+    "item, match",
+    [
+        pytest.param(_evolve(duration_ns="-1"), "nonnegative", id="negative-evolve"),
+        pytest.param(_cpi(duration_ns="-1"), "nonnegative", id="negative-cpi"),
+        pytest.param(_evolve(duration_ns="Infinity"), "finite", id="inf-duration"),
+        pytest.param(
+            {"type": "concurrent", "parts": [_evolve()], "duration_ns": "NaN"}, "finite", id="nan-concurrent"
+        ),
+        pytest.param(_pulse(angle_rad=float("nan")), "finite", id="nan-angle"),
+        pytest.param(_pulse(phases_rad=[0.0, float("inf"), 0.0]), "finite", id="inf-phase"),
+        pytest.param(_cpi(fraction=float("nan")), "finite", id="nan-fraction"),
+        pytest.param(_pulse(site=0), r"in 1\.\.2", id="site-0"),
+        pytest.param(_pulse(site=3), r"in 1\.\.2", id="site-past-register"),
+        pytest.param(_pulse(site=1.5), r"in 1\.\.2", id="fractional-site"),
+        pytest.param(_evolve(pairs=[[2, 3]]), r"in 1\.\.2", id="evolve-pair-past-register"),
+        pytest.param(
+            {"type": "concurrent", "parts": [_cpi(target=3)], "duration_ns": "100"}, r"in 1\.\.2", id="concurrent-part-site"
+        ),
+        pytest.param(_evolve(pairs=[[1, 1]]), "distinct", id="evolve-self-pair"),
+        pytest.param(_cpi(target=1), "both site", id="control-is-target"),
+        pytest.param(_cpi(condition=3), "condition", id="condition-3"),
+        pytest.param(_cpi(condition=1.0), "condition", id="fractional-condition"),
+        pytest.param(_pulse(phases_rad=[0.1, 0.2]), "3 phases", id="two-phases"),
+        pytest.param(_pulse(subspace="03"), "subspace", id="unknown-subspace"),
+        pytest.param(_pulse(subspace="03", perm=True), "subspace", id="unknown-permutation"),
+        pytest.param(_pulse(axis="q"), "axis", id="unknown-axis"),
+    ],
+)
+def test_invalid_items_rejected(item, match):
+    # every bad item fails when it is built, with one error type, so the
+    # loader and both simulators fail the same way
+    text = json.dumps({"n_sites": 2, "items": [item]})
+    rho0 = np.eye(9, dtype=complex) / 9
+    runs = (
+        PulseSchedule.from_json,
+        lambda t: simulate_unitary(PulseSchedule.from_json(t), {(1, 2): Q1Q2}),
+        lambda t: simulate_density(PulseSchedule.from_json(t), rho0, {(1, 2): Q1Q2}),
+    )
+    for run in runs:
+        with pytest.raises(ScheduleValidationError, match=match):
+            run(text)
+
+
+def test_simulators_agree_without_noise(rng):
+    couplings = {(1, 2): Q1Q2, (2, 3): CrossKerrCoeffs.from_khz(-276, -631, 243, -748)}
+    items = (
+        RotationPulse(1, "01", "y", rng.uniform(-np.pi, np.pi)),
+        RotationPulse(3, "12", "x", rng.uniform(-np.pi, np.pi)),
+        Concurrent((ConditionalPiPulse(1, 2, 5e-8, condition=2, fraction=0.37), Evolve(((2, 3),), 5e-8)), 5e-8),
+        PhasePulse(2, tuple(rng.uniform(-np.pi, np.pi, 3))),
+        PermutationPulse(3, "02"),
+        Evolve(((1, 2), (2, 3)), 1.3e-7),
+        ConditionalPiPulse(3, 2, 1e-7, condition=0, fraction=-0.61),
+        RotationPulse(2, "02", "z", rng.uniform(-np.pi, np.pi)),
+    )
+    sched = PulseSchedule(items, 3)
+    a = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0)
+    u = simulate_unitary(sched, couplings).matrix
+    rho = simulate_density(sched, rho0, couplings)
+    assert np.abs(rho - u @ rho0 @ u.conj().T).max() < 1e-12
+
+
+def test_noise_model_replace_rebuilds_channels():
+    model = NoiseModel(damping=[(50e-6, 25e-6)], dephasing=[(20e-6, 10e-6, 8e-6)], scale=1.0)
+    model.site_kraus(1, 1e-6)  # fill the cache at scale 1
+    half = NoiseModel(damping=[(50e-6, 25e-6)], dephasing=[(20e-6, 10e-6, 8e-6)], scale=0.5)
+    got = dataclasses.replace(model, scale=0.5).site_kraus(1, 1e-6)
+    assert np.array_equal(got, half.site_kraus(1, 1e-6))
+    assert not np.allclose(got, model.site_kraus(1, 1e-6))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.scale = 0.5
 
 
 def test_reversed_schedule_inverts(rng):

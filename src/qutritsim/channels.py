@@ -199,7 +199,11 @@ def depolarizing_channel(dim: int) -> QuantumChannel:
 
 
 def apply_channel(channel: QuantumChannel, rho: DensityState, sites) -> DensityState:
-    """Apply a channel to the listed 1-based sites of a register state."""
+    """Apply a channel to the listed 1-based sites of a register state.
+
+    A single-site channel goes through the superoperator kernel; a
+    multi-site one is summed over its embedded Kraus operators.
+    """
     sites = list(sites)
     d = rho.indexing.d
     n = rho.indexing.n
@@ -208,9 +212,7 @@ def apply_channel(channel: QuantumChannel, rho: DensityState, sites) -> DensityS
             f"channel dim {channel.dim} does not match {len(sites)} site(s)"
         )
     if len(sites) == 1:
-        site = sites[0]
-        left, right = d ** (site - 1), d ** (n - site)
-        out = kernels.apply_site_kraus(rho.matrix, channel.kraus, left, d, right)
+        out = kernels.apply_site_superops(rho.matrix, {sites[0]: channel.superoperator()}, n, d)
     else:
         from .core import embed
 

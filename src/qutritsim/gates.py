@@ -23,6 +23,12 @@ _SUBSPACE_LEVELS = {"01": (0, 1), "12": (1, 2), "02": (0, 2)}
 _AXES = ("x", "y", "z")
 
 
+def _levels(subspace: str) -> tuple[int, int]:
+    if subspace not in _SUBSPACE_LEVELS:
+        raise ValueError(f"unknown subspace {subspace!r}")
+    return _SUBSPACE_LEVELS[subspace]
+
+
 @dataclass(frozen=True)
 class SubspaceRotation:
     """exp(-i (angle/2) s_axis^subspace) on a single qutrit."""
@@ -32,8 +38,7 @@ class SubspaceRotation:
     angle: float
 
     def __post_init__(self):
-        if self.subspace not in _SUBSPACE_LEVELS:
-            raise ValueError(f"unknown subspace {self.subspace!r}")
+        _levels(self.subspace)
         if self.axis not in _AXES:
             raise ValueError(f"unknown axis {self.axis!r}")
 
@@ -46,7 +51,9 @@ class SubspaceRotation:
 
 def rotation_matrix(subspace: str, axis: str, angle: float) -> np.ndarray:
     """Closed-form exp(-i (angle/2) s); identity on the untouched level."""
-    i, j = _SUBSPACE_LEVELS[subspace]
+    if axis not in _AXES:
+        raise ValueError(f"unknown axis {axis!r}")
+    i, j = _levels(subspace)
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
     u = np.eye(3, dtype=complex)
     if axis == "x":
@@ -72,7 +79,7 @@ def rotation_unitary(rotation: SubspaceRotation) -> QuditOperator:
 
 def permutation_matrix(subspace: str) -> np.ndarray:
     """Phase-free swap of the two subspace levels."""
-    i, j = _SUBSPACE_LEVELS[subspace]
+    i, j = _levels(subspace)
     p = np.eye(3, dtype=complex)
     p[[i, j]] = p[[j, i]]
     return p
@@ -125,7 +132,7 @@ class VirtualPhaseFrame:
         return other
 
     def absorb_z(self, subspace: str, angle: float) -> None:
-        i, j = _SUBSPACE_LEVELS[subspace]
+        i, j = _levels(subspace)
         self._phases[i] += -angle / 2.0
         self._phases[j] += angle / 2.0
 

@@ -14,6 +14,13 @@ steps.  :func:`simulate_unitary` composes the ideal unitary from those
 steps, and :func:`simulate_density` evolves a density matrix through them,
 adding optional always-on background couplings and per-segment
 relaxation and dephasing channels at the end of each timed segment.
+
+The density simulator keeps one pending 9x9 superoperator per site.
+Pulses and each segment's noise channel are composed onto it (maps on
+different sites commute, and single-site maps compose), and the pending
+maps of all sites are applied in one kernel pass only before a step that
+couples sites (a free evolution, a conditional-pi gate, background
+phases) and at the end.
 """
 
 from __future__ import annotations
@@ -366,7 +373,8 @@ class ScheduleSimulator:
         self.digit_table = self.indexing.digit_table()
 
     def item_unitary(self, item: ConditionalPiPulse) -> np.ndarray:
-        """Full-register matrix of a (fractional) conditional-pi gate."""
+        """Full-register matrix of a (fractional) conditional-pi gate; a
+        dense oracle for the ``("pair", ...)`` step the simulators apply."""
         gate = conditional_pi_partial(item.condition, item.fraction)
         return embed(gate, [item.control, item.target], self.n, self.d).matrix
 
@@ -375,7 +383,8 @@ class ScheduleSimulator:
 
         - ``("site", site, m)``: a d x d local pulse ``m`` on one site;
         - ``("diag", phases)``: ``diag(exp(-1j * phases))``, an ``Evolve``;
-        - ``("dense", u)``: a full-register conditional-pi gate;
+        - ``("pair", control, target, g)``: a (fractional) conditional-pi
+          gate, the d^2 x d^2 matrix ``g`` on (control, target);
         - ``("segment", duration, excluded)``: after each top-level timed
           item or ``Concurrent`` block, the wall-clock interval it spans;
           always-on background couplings act on every pair except the
@@ -396,7 +405,8 @@ class ScheduleSimulator:
             yield ("diag", _evolve_phases(item.pairs, item.duration, self.couplings, self.digit_table))
         elif isinstance(item, ConditionalPiPulse):
             excluded.add(frozenset((item.control, item.target)))
-            yield ("dense", self.item_unitary(item))
+            gate = conditional_pi_partial(item.condition, item.fraction)
+            yield ("pair", item.control, item.target, gate)
         elif isinstance(item, RotationPulse):
             yield ("site", item.site, rotation_matrix(item.subspace, item.axis, item.angle))
         elif isinstance(item, PermutationPulse):
@@ -419,8 +429,10 @@ def simulate_unitary(schedule: PulseSchedule, couplings: dict | None = None, d: 
                 u = np.einsum("ab,lbr->lar", m, rows).reshape(dim, dim)
             case ("diag", phases):
                 u = np.exp(-1j * phases)[:, None] * u
-            case ("dense", gate):
-                u = gate @ u
+            case ("pair", a, b, gate):
+                rows = u.reshape((d,) * schedule.n_sites + (dim,))
+                rows = np.tensordot(gate.reshape(d, d, d, d), rows, axes=([2, 3], [a - 1, b - 1]))
+                u = np.moveaxis(rows, (0, 1), (a - 1, b - 1)).reshape(dim, dim)
     return QuditOperator(u, sim.indexing)
 
 
@@ -431,7 +443,8 @@ class NoiseModel:
     ``damping[i]`` is (T1_10, T1_21) and ``dephasing[i]`` is
     (T2_01, T2_12, T2_02), in seconds, for 1-based site i+1; ``scale``
     multiplies all decay rates (0 disables noise).  The model is frozen
-    because its Kraus cache is keyed on (site, duration) only.
+    because its Kraus and superoperator caches are keyed on (site,
+    duration) only.
     """
 
     damping: list[tuple[float, float]]
@@ -439,6 +452,7 @@ class NoiseModel:
     scale: float = 1.0
 
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _superops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def site_kraus(self, site: int, duration: float) -> np.ndarray | None:
         if self.scale <= 0.0 or duration <= 0.0:
@@ -453,6 +467,18 @@ class NoiseModel:
             deph = dephasing_channel(duration, *(t / self.scale for t in t2))
             self._cache[key] = np.array([kd @ kp for kd in damp.kraus for kp in deph.kraus])
         return self._cache[key]
+
+    def site_superop(self, site: int, duration: float) -> np.ndarray | None:
+        """The :meth:`site_kraus` channel as a row-major superoperator
+        ``sum_m K_m kron K_m.conj()``."""
+        stack = self.site_kraus(site, duration)
+        if stack is None:
+            return None
+        key = (site, duration)
+        if key not in self._superops:
+            d = stack.shape[1]
+            self._superops[key] = np.einsum("mab,mcd->acbd", stack, stack.conj()).reshape(d * d, d * d)
+        return self._superops[key]
 
 
 def simulate_density(
@@ -473,29 +499,36 @@ def simulate_density(
     sim = ScheduleSimulator(n, couplings, d)
     rho = np.asarray(rho0, dtype=complex).copy()
     background = dict(background_pairs or {})
+    pending: dict = {}  # site -> superoperator of the site's maps since the last flush
 
-    def on_site(rho, site, kraus):
-        return kernels.apply_site_kraus(rho, kraus, d ** (site - 1), d, d ** (n - site))
+    def compose(site, s):
+        pending[site] = s @ pending[site] if site in pending else s
+
+    def flush(rho):
+        if pending:
+            rho = kernels.apply_site_superops(rho, pending, n, d)
+            pending.clear()
+        return rho
 
     for step in sim.steps(schedule.items):
         match step:
             case ("site", site, m):
-                rho = on_site(rho, site, m[None, :, :])
+                compose(site, np.kron(m, m.conj()))
             case ("diag", phases):
-                rho = kernels.apply_diag_phases(rho, phases)
-            case ("dense", u):
-                rho = u @ rho @ u.conj().T
+                rho = kernels.apply_diag_phases(flush(rho), phases)
+            case ("pair", a, b, gate):
+                rho = kernels.apply_pair_unitary(flush(rho), gate, a, b, n, d)
             case ("segment", duration, excluded) if duration > 0:
                 pairs = [p for p in background if frozenset(p) not in excluded]
                 if pairs:
                     phases = _evolve_phases(pairs, duration, background, sim.digit_table)
-                    rho = kernels.apply_diag_phases(rho, phases)
+                    rho = kernels.apply_diag_phases(flush(rho), phases)
                 if noise is not None:
                     for site in range(1, n + 1):
-                        stack = noise.site_kraus(site, duration)
-                        if stack is not None:
-                            rho = on_site(rho, site, stack)
-    return rho
+                        s = noise.site_superop(site, duration)
+                        if s is not None:
+                            compose(site, s)
+    return flush(rho)
 
 
 # ---------------------------------------------------------------------------

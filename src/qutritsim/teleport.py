@@ -230,13 +230,14 @@ def _run_with_shots(circuit, input_state, device, noise, couplings, shots, seed,
     records = []
     heralded_total = 0
     grand_total = 0
+    rho0 = np.zeros((243, 243), dtype=complex)
+    rho0[0, 0] = 1.0
+    rho_circuit = simulate_density(circuit, rho0, couplings=couplings, noise=noise)
     for task, setting in enumerate(all_settings(1)):
-        w = setting_rotation(setting)
-        pre = _rotation_items(5, decompose_single_qutrit(w))
-        full = circuit.then(PulseSchedule(tuple(pre), N_SITES))
-        rho0 = np.zeros((243, 243), dtype=complex)
-        rho0[0, 0] = 1.0
-        rho = simulate_density(full, rho0, couplings=couplings, noise=noise)
+        # the pre-rotations are instantaneous, so no segment (and no noise)
+        # follows them: running them on the shared circuit output is exact
+        pre = _rotation_items(5, decompose_single_qutrit(setting_rotation(setting)))
+        rho = simulate_density(PulseSchedule(tuple(pre), N_SITES), rho_circuit, couplings, noise)
         state = DensityState(rho, QuditIndexing(3, 5), validate=False)
         probs = measured_probabilities(state, confusion)
         counts = shot_rng(seed, task).multinomial(shots, np.clip(probs, 0, None) / probs.sum())

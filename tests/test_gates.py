@@ -230,3 +230,16 @@ class TestDecomposition:
         for sub in ("01", "12", "02"):
             p = permutation_matrix(sub)
             assert np.abs(p @ p - np.eye(3)).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: rotation_matrix("01", "q", 1.0), "unknown axis 'q'"),
+        (lambda: rotation_matrix("03", "x", 1.0), "unknown subspace '03'"),
+        (lambda: permutation_matrix("21"), "unknown subspace '21'"),
+    ],
+)
+def test_unknown_axis_or_subspace_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from qutritsim.core import QuditIndexing
+from qutritsim import kernels
+from qutritsim.core import QuditIndexing, embed
 from qutritsim.schedules import (
     Concurrent,
     ConditionalPiPulse,
@@ -15,6 +16,7 @@ from qutritsim.schedules import (
     PhasePulse,
     PulseSchedule,
     RotationPulse,
+    ScheduleSimulator,
     ScheduleValidationError,
     parallel_merge,
     simulate_density,
@@ -144,6 +146,78 @@ def test_simulators_agree_without_noise(rng):
     u = simulate_unitary(sched, couplings).matrix
     rho = simulate_density(sched, rho0, couplings)
     assert np.abs(rho - u @ rho0 @ u.conj().T).max() < 1e-12
+
+
+def test_conditional_pi_matches_dense_oracle():
+    sim = ScheduleSimulator(3, {})
+    for item in (ConditionalPiPulse(3, 1, 1e-7, condition=2, fraction=0.3), ConditionalPiPulse(2, 3, 1e-7)):
+        u = simulate_unitary(PulseSchedule((item,), 3), {}).matrix
+        assert np.abs(u - sim.item_unitary(item)).max() < 1e-14
+
+
+def _reference_density(sched, rho, couplings, noise, background):
+    """Per-step reference walk: dense conjugation for every unitary step and
+    the Kraus-sum kernel for every noise channel, applied in schedule order."""
+    n = sched.n_sites
+
+    def conjugate(u, rho):
+        return u @ rho @ u.conj().T
+
+    for step in ScheduleSimulator(n, couplings).steps(sched.items):
+        match step:
+            case ("site", site, m):
+                rho = conjugate(embed(m, [site], n).matrix, rho)
+            case ("diag", phases):
+                rho = conjugate(np.diag(np.exp(-1j * phases)), rho)
+            case ("pair", a, b, g):
+                rho = conjugate(embed(g, [a, b], n).matrix, rho)
+            case ("segment", duration, excluded):
+                pairs = tuple(p for p in background if frozenset(p) not in excluded)
+                if pairs:
+                    evolve = PulseSchedule((Evolve(pairs, duration),), n)
+                    rho = conjugate(simulate_unitary(evolve, background).matrix, rho)
+                for site in range(1, n + 1):
+                    stack = noise.site_kraus(site, duration)
+                    rho = kernels.apply_site_kraus(rho, stack, 3 ** (site - 1), 3, 3 ** (n - site))
+    return rho
+
+
+def test_noisy_density_matches_per_step_reference(rng, device):
+    couplings = {(1, 2): Q1Q2, (2, 4): CrossKerrCoeffs.from_khz(-276, -631, 243, -748)}
+    # (1, 3) is excluded while the conditional-pi on (3, 1) runs
+    background = {
+        (1, 2): Q1Q2,
+        (1, 3): CrossKerrCoeffs.from_khz(-150, 90, -310, -420),
+        (3, 4): Q1Q2.transpose(),
+    }
+    th = rng.uniform(-np.pi, np.pi, 9)
+    items = (
+        RotationPulse(1, "01", "y", th[0]),
+        RotationPulse(2, "12", "x", th[1]),
+        Evolve(((1, 2),), 8e-8),
+        PermutationPulse(3, "12"),
+        PhasePulse(1, tuple(th[2:5])),
+        RotationPulse(1, "02", "x", th[5]),
+        Concurrent(
+            (ConditionalPiPulse(3, 1, 6e-8, condition=2, fraction=0.41), Evolve(((2, 4),), 6e-8)), 6e-8
+        ),
+        RotationPulse(4, "02", "y", th[6]),
+        ConditionalPiPulse(2, 4, 1e-7),
+        RotationPulse(3, "01", "z", th[7]),
+        RotationPulse(4, "12", "y", th[8]),
+    )
+    sched = PulseSchedule(items, 4)
+    noise = device.noise_model(20.0)
+    a = rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0)
+    got = simulate_density(sched, rho0, couplings, noise, background)
+    ref = _reference_density(sched, rho0, couplings, noise, background)
+    assert np.abs(got - ref).max() < 1e-12
+    assert abs(np.trace(got) - 1.0) < 1e-12
+    assert np.abs(got - got.conj().T).max() < 1e-12
+    # the noise is large enough that a misplaced channel would show
+    assert np.abs(ref - simulate_density(sched, rho0, couplings, None, background)).max() > 1e-4
 
 
 def test_noise_model_replace_rebuilds_channels():

@@ -212,7 +212,9 @@ def apply_channel(channel: QuantumChannel, rho: DensityState, sites) -> DensityS
             f"channel dim {channel.dim} does not match {len(sites)} site(s)"
         )
     if len(sites) == 1:
-        out = kernels.apply_site_superops(rho.matrix, {sites[0]: channel.superoperator()}, n, d)
+        t = kernels.to_superket(rho.matrix, n, d)
+        t = kernels.apply_site_superop(t, channel.superoperator(), sites[0])
+        out = kernels.from_superket(t, n, d)
     else:
         from .core import embed
 

@@ -15,19 +15,23 @@ steps, and :func:`simulate_density` evolves a density matrix through them,
 adding optional always-on background couplings and per-segment
 relaxation and dephasing channels at the end of each timed segment.
 
-The density simulator keeps one pending 9x9 superoperator per site.
-Pulses and each segment's noise channel are composed onto it (maps on
-different sites commute, and single-site maps compose), and the pending
-maps of all sites are applied in one kernel pass only before a step that
-couples sites (a free evolution, a conditional-pi gate, background
-phases) and at the end.
+The density simulator holds rho in the site-interleaved superket layout
+of :mod:`.kernels` (one d^2 leg per site) from entry to exit, and keeps one
+pending 9x9 superoperator per site.  Pulses and each segment's noise
+channel are composed onto it (maps on different sites commute, and
+single-site maps compose).  A step that couples two sites (a free
+evolution's per-pair phase factor, a conditional-pi gate, a background
+phase) applies only those two sites' pending maps first, so every other
+site keeps composing; a conditional-pi gate absorbs them into its 81x81
+superoperator.  The rest are applied at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from numbers import Integral
 
@@ -351,17 +355,6 @@ def _coupling_rate(couplings: dict, pair: tuple[int, int]) -> np.ndarray | None:
     return None
 
 
-def _evolve_phases(pairs, duration, couplings, digit_table) -> np.ndarray:
-    """Diagonal phase vector of exp(-i H t) for the listed couplings."""
-    phases = np.zeros(digit_table.shape[1])
-    for pair in pairs:
-        rate = _coupling_rate(couplings, tuple(pair))
-        if rate is None:
-            raise KeyError(f"no cross-Kerr coefficients supplied for pair {tuple(pair)}")
-        phases += rate[digit_table[pair[0] - 1], digit_table[pair[1] - 1]] * duration
-    return phases
-
-
 class ScheduleSimulator:
     """The one walk from schedule items to steps on an n-site register."""
 
@@ -370,7 +363,6 @@ class ScheduleSimulator:
         self.d = d
         self.indexing = QuditIndexing(d, n)
         self.couplings = dict(couplings or {})
-        self.digit_table = self.indexing.digit_table()
 
     def item_unitary(self, item: ConditionalPiPulse) -> np.ndarray:
         """Full-register matrix of a (fractional) conditional-pi gate; a
@@ -382,7 +374,9 @@ class ScheduleSimulator:
         """Yield the register steps of ``items`` in order:
 
         - ``("site", site, m)``: a d x d local pulse ``m`` on one site;
-        - ``("diag", phases)``: ``diag(exp(-1j * phases))``, an ``Evolve``;
+        - ``("phase", a, b, phi)``: one coupled pair of an ``Evolve``, the
+          diagonal ``exp(-1j * phi[i_a, i_b])`` with ``phi`` the d x d table
+          rate * duration, indexed by the digits of site ``a`` then ``b``;
         - ``("pair", control, target, g)``: a (fractional) conditional-pi
           gate, the d^2 x d^2 matrix ``g`` on (control, target);
         - ``("segment", duration, excluded)``: after each top-level timed
@@ -402,7 +396,11 @@ class ScheduleSimulator:
                 yield from self._item_steps(part, excluded)
         elif isinstance(item, Evolve):
             excluded.update(frozenset(p) for p in item.pairs)
-            yield ("diag", _evolve_phases(item.pairs, item.duration, self.couplings, self.digit_table))
+            for a, b in item.pairs:
+                rate = _coupling_rate(self.couplings, (a, b))
+                if rate is None:
+                    raise KeyError(f"no cross-Kerr coefficients supplied for pair {(a, b)}")
+                yield ("phase", a, b, rate * item.duration)
         elif isinstance(item, ConditionalPiPulse):
             excluded.add(frozenset((item.control, item.target)))
             gate = conditional_pi_partial(item.condition, item.fraction)
@@ -419,7 +417,8 @@ class ScheduleSimulator:
 
 def simulate_unitary(schedule: PulseSchedule, couplings: dict | None = None, d: int = 3) -> QuditOperator:
     """Compose the ideal unitary of a schedule."""
-    sim = ScheduleSimulator(schedule.n_sites, couplings, d)
+    n = schedule.n_sites
+    sim = ScheduleSimulator(n, couplings, d)
     dim = sim.indexing.dim
     u = np.eye(dim, dtype=complex)
     for step in sim.steps(schedule.items):
@@ -427,13 +426,33 @@ def simulate_unitary(schedule: PulseSchedule, couplings: dict | None = None, d: 
             case ("site", site, m):
                 rows = u.reshape(d ** (site - 1), d, -1)
                 u = np.einsum("ab,lbr->lar", m, rows).reshape(dim, dim)
-            case ("diag", phases):
-                u = np.exp(-1j * phases)[:, None] * u
+            case ("phase", a, b, phi):
+                shape = [1] * (n + 1)
+                shape[a - 1] = shape[b - 1] = d
+                factor = np.exp(-1j * (phi if a < b else phi.T)).reshape(shape)
+                u = (u.reshape((d,) * n + (dim,)) * factor).reshape(dim, dim)
             case ("pair", a, b, gate):
-                rows = u.reshape((d,) * schedule.n_sites + (dim,))
+                rows = u.reshape((d,) * n + (dim,))
                 rows = np.tensordot(gate.reshape(d, d, d, d), rows, axes=([2, 3], [a - 1, b - 1]))
                 u = np.moveaxis(rows, (0, 1), (a - 1, b - 1)).reshape(dim, dim)
     return QuditOperator(u, sim.indexing)
+
+
+@functools.lru_cache(maxsize=512)
+def _site_channel(t1s: tuple, t2s: tuple, scale: float, duration: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (Kraus stack, row-major superoperator) of one site's
+    relaxation-then-dephasing channel over ``duration``; cached on the
+    physical parameters, so equal noise models share their channels."""
+    from .channels import amplitude_damping_channel, dephasing_channel
+
+    damp = amplitude_damping_channel(duration, *(t / scale for t in t1s))
+    deph = dephasing_channel(duration, *(t / scale for t in t2s))
+    stack = np.array([kd @ kp for kd in damp.kraus for kp in deph.kraus])
+    d = stack.shape[1]
+    superop = np.einsum("mab,mcd->acbd", stack, stack.conj()).reshape(d * d, d * d)
+    stack.flags.writeable = False
+    superop.flags.writeable = False
+    return stack, superop
 
 
 @dataclass(frozen=True)
@@ -442,43 +461,30 @@ class NoiseModel:
 
     ``damping[i]`` is (T1_10, T1_21) and ``dephasing[i]`` is
     (T2_01, T2_12, T2_02), in seconds, for 1-based site i+1; ``scale``
-    multiplies all decay rates (0 disables noise).  The model is frozen
-    because its Kraus and superoperator caches are keyed on (site,
-    duration) only.
+    multiplies all decay rates (0 disables noise).  Channels are built once
+    per parameter set and shared, read-only, by every model.
     """
 
     damping: list[tuple[float, float]]
     dephasing: list[tuple[float, float, float]]
     scale: float = 1.0
 
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _superops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def site_kraus(self, site: int, duration: float) -> np.ndarray | None:
+    def _channel(self, site: int, duration: float) -> tuple[np.ndarray, np.ndarray] | None:
         if self.scale <= 0.0 or duration <= 0.0:
             return None
-        key = (site, duration)
-        if key not in self._cache:
-            from .channels import amplitude_damping_channel, dephasing_channel
+        return _site_channel(tuple(self.damping[site - 1]), tuple(self.dephasing[site - 1]), self.scale, duration)
 
-            t1a, t1b = self.damping[site - 1]
-            damp = amplitude_damping_channel(duration, t1a / self.scale, t1b / self.scale)
-            t2 = self.dephasing[site - 1]
-            deph = dephasing_channel(duration, *(t / self.scale for t in t2))
-            self._cache[key] = np.array([kd @ kp for kd in damp.kraus for kp in deph.kraus])
-        return self._cache[key]
+    def site_kraus(self, site: int, duration: float) -> np.ndarray | None:
+        """Kraus stack of the site's channel over ``duration``, or None
+        when the model adds no noise."""
+        channel = self._channel(site, duration)
+        return None if channel is None else channel[0]
 
     def site_superop(self, site: int, duration: float) -> np.ndarray | None:
         """The :meth:`site_kraus` channel as a row-major superoperator
         ``sum_m K_m kron K_m.conj()``."""
-        stack = self.site_kraus(site, duration)
-        if stack is None:
-            return None
-        key = (site, duration)
-        if key not in self._superops:
-            d = stack.shape[1]
-            self._superops[key] = np.einsum("mab,mcd->acbd", stack, stack.conj()).reshape(d * d, d * d)
-        return self._superops[key]
+        channel = self._channel(site, duration)
+        return None if channel is None else channel[1]
 
 
 def simulate_density(
@@ -494,41 +500,52 @@ def simulate_density(
     ``background_pairs`` optionally maps site pairs to coefficients applied
     during every timed item (always-on couplings), excluding the pair a
     conditional-pi gate acts on and any pair already listed by the item.
+    Raises :class:`DimensionMismatchError` before any step when ``rho0`` is
+    not d^n x d^n or ``noise`` covers fewer than n sites.
     """
     n = schedule.n_sites
+    rho0 = np.asarray(rho0)
+    if rho0.shape != (d**n, d**n):
+        raise DimensionMismatchError(f"rho0 has shape {rho0.shape}, expected {(d**n, d**n)} for {n} sites")
+    covered = n if noise is None else min(len(noise.damping), len(noise.dephasing))
+    if covered < n:
+        raise DimensionMismatchError(f"the noise model covers {covered} sites, the schedule has {n}")
     sim = ScheduleSimulator(n, couplings, d)
-    rho = np.asarray(rho0, dtype=complex).copy()
+    t = kernels.to_superket(rho0, n, d)
     background = dict(background_pairs or {})
-    pending: dict = {}  # site -> superoperator of the site's maps since the last flush
+    pending: dict = {}  # site -> superoperator of the site's maps since it was last applied
+    identity = np.eye(d * d)
 
     def compose(site, s):
         pending[site] = s @ pending[site] if site in pending else s
 
-    def flush(rho):
-        if pending:
-            rho = kernels.apply_site_superops(rho, pending, n, d)
-            pending.clear()
-        return rho
+    def flush(t, *sites):
+        for site in sites:
+            if site in pending:
+                t = kernels.apply_site_superop(t, pending.pop(site), site)
+        return t
 
     for step in sim.steps(schedule.items):
         match step:
             case ("site", site, m):
-                compose(site, np.kron(m, m.conj()))
-            case ("diag", phases):
-                rho = kernels.apply_diag_phases(flush(rho), phases)
+                compose(site, kernels.conjugation_superop(m, d))
+            case ("phase", a, b, phi):
+                t = kernels.apply_pair_phases(flush(t, a, b), phi, a, b)
             case ("pair", a, b, gate):
-                rho = kernels.apply_pair_unitary(flush(rho), gate, a, b, n, d)
+                s = kernels.conjugation_superop(gate, d)
+                if a in pending or b in pending:
+                    s = s @ np.kron(pending.pop(a, identity), pending.pop(b, identity))
+                t = kernels.apply_pair_superop(t, s, a, b)
             case ("segment", duration, excluded) if duration > 0:
-                pairs = [p for p in background if frozenset(p) not in excluded]
-                if pairs:
-                    phases = _evolve_phases(pairs, duration, background, sim.digit_table)
-                    rho = kernels.apply_diag_phases(flush(rho), phases)
+                for (a, b), coeffs in background.items():
+                    if frozenset((a, b)) not in excluded:
+                        t = kernels.apply_pair_phases(flush(t, a, b), coeffs.rate_matrix() * duration, a, b)
                 if noise is not None:
                     for site in range(1, n + 1):
                         s = noise.site_superop(site, duration)
                         if s is not None:
                             compose(site, s)
-    return flush(rho)
+    return kernels.from_superket(flush(t, *list(pending)), n, d)
 
 
 # ---------------------------------------------------------------------------

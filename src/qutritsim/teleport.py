@@ -206,7 +206,13 @@ def run_teleportation(
     if input_state.indexing != QuditIndexing(3, 1):
         raise ValueError("the protocol teleports a single-qutrit state")
     device = device or load_device()
-    prep, rest = build_protocol_schedules(spec, device)
+    schedules = build_protocol_schedules(spec, device)
+    return _run_compiled(schedules, input_state, device, noise_scale, shots, seed, label, use_echo_t2)
+
+
+def _run_compiled(schedules, input_state, device, noise_scale, shots, seed, label, use_echo_t2):
+    """:func:`run_teleportation` on the compiled (preparation, rest) schedules."""
+    prep, rest = schedules
     psi_items = _rotation_items(1, state_preparation_pulses(input_state.amplitudes))
     circuit = prep.then(PulseSchedule(tuple(psi_items), N_SITES)).then(rest)
 
@@ -241,17 +247,10 @@ def _run_with_shots(circuit, input_state, device, noise, couplings, shots, seed,
         state = DensityState(rho, QuditIndexing(3, 5), validate=False)
         probs = measured_probabilities(state, confusion)
         counts = shot_rng(seed, task).multinomial(shots, np.clip(probs, 0, None) / probs.sum())
-        idx = QuditIndexing(3, 5)
-        marginal: dict[str, int] = {}
-        kept = 0
-        for i, c in enumerate(counts):
-            if c == 0:
-                continue
-            digits = idx.label_to_digits(i)
-            if digits[1] == 0 and digits[2] == 0:
-                kept += c
-                key = str(digits[4])
-                marginal[key] = marginal.get(key, 0) + int(c)
+        # qutrit-5 counts of the shots that read (0, 0) on qutrits 2 and 3
+        heralded = counts.reshape([3] * N_SITES)[:, 0, 0, :, :].sum(axis=(0, 1))
+        kept = int(heralded.sum())
+        marginal = {str(level): int(c) for level, c in enumerate(heralded) if c}
         heralded_total += kept
         grand_total += shots
         records.append(TomographyRecord(setting.bases, marginal, kept, seed))
@@ -268,20 +267,14 @@ def run_design_set(
     shots: int | None = None,
     seed: int = 0,
 ) -> list[TeleportationOutcome]:
-    outcomes = []
-    for k, ds in enumerate(design_states()):
-        outcomes.append(
-            run_teleportation(
-                spec,
-                ds.state,
-                device,
-                noise_scale,
-                shots,
-                seed + k,
-                label=ds.label,
-            )
-        )
-    return outcomes
+    """:func:`run_teleportation` for each of the twelve design states (the
+    k-th with seed ``seed + k``), compiling the protocol once."""
+    device = device or load_device()
+    schedules = build_protocol_schedules(spec, device)
+    return [
+        _run_compiled(schedules, ds.state, device, noise_scale, shots, seed + k, ds.label, False)
+        for k, ds in enumerate(design_states())
+    ]
 
 
 def average_teleportation_fidelity(outcomes: list[TeleportationOutcome]) -> float:

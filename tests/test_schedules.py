@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qutritsim import kernels
-from qutritsim.core import QuditIndexing, embed
+from qutritsim.core import DimensionMismatchError, QuditIndexing, embed
 from qutritsim.schedules import (
     Concurrent,
     ConditionalPiPulse,
@@ -167,8 +167,8 @@ def _reference_density(sched, rho, couplings, noise, background):
         match step:
             case ("site", site, m):
                 rho = conjugate(embed(m, [site], n).matrix, rho)
-            case ("diag", phases):
-                rho = conjugate(np.diag(np.exp(-1j * phases)), rho)
+            case ("phase", a, b, phi):
+                rho = conjugate(embed(np.diag(np.exp(-1j * phi.reshape(-1))), [a, b], n).matrix, rho)
             case ("pair", a, b, g):
                 rho = conjugate(embed(g, [a, b], n).matrix, rho)
             case ("segment", duration, excluded):
@@ -229,6 +229,28 @@ def test_noise_model_replace_rebuilds_channels():
     assert not np.allclose(got, model.site_kraus(1, 1e-6))
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.scale = 0.5
+
+
+def test_equal_noise_models_share_read_only_channels():
+    def model():
+        return NoiseModel(damping=[(50e-6, 25e-6)], dephasing=[(20e-6, 10e-6, 8e-6)], scale=1.0)
+
+    for read in (NoiseModel.site_kraus, NoiseModel.site_superop):
+        first, second = read(model(), 1, 3e-7), read(model(), 1, 3e-7)
+        assert first is second
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+
+
+def test_density_input_mismatch_raises_before_any_step():
+    # the Evolve has no coupling, so a walk that started would raise KeyError
+    sched = PulseSchedule((RotationPulse(1, "01", "x", 0.4), Evolve(((1, 2),), 1e-7)), 2)
+    with pytest.raises(DimensionMismatchError, match="rho0"):
+        simulate_density(sched, np.eye(27, dtype=complex) / 27, couplings={})
+    one_site = NoiseModel(damping=[(50e-6, 25e-6)], dephasing=[(20e-6, 10e-6, 8e-6)])
+    with pytest.raises(DimensionMismatchError, match="noise model covers 1 sites"):
+        simulate_density(sched, np.eye(9, dtype=complex) / 9, couplings={}, noise=one_site)
 
 
 def test_reversed_schedule_inverts(rng):

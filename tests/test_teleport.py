@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qutritsim.core import PureState
+from qutritsim import teleport
+from qutritsim.core import PureState, QuditIndexing
 from qutritsim.scrambling import design_states, scrambler_unitary
 from qutritsim.schedules import (
     ConditionalPiPulse,
@@ -140,3 +141,47 @@ class TestNoisyProtocol:
         run = run_teleportation(SCRAMBLE, ds.state, device, noise_scale=1.0, shots=4000, seed=5)
         exact = run_teleportation(SCRAMBLE, ds.state, device, noise_scale=1.0)
         assert abs(run.fidelity - exact.fidelity) < 0.12
+
+
+class TestCompiledOnce:
+    @pytest.mark.parametrize("shots", [None, 2000])
+    def test_design_set_equals_per_state_runs(self, device, shots):
+        outcomes = run_design_set(SCRAMBLE, device, noise_scale=1.0, shots=shots, seed=40)
+        assert [o.label for o in outcomes] == [ds.label for ds in design_states()]
+        for k, (got, ds) in enumerate(zip(outcomes, design_states())):
+            ref = run_teleportation(SCRAMBLE, ds.state, device, 1.0, shots, 40 + k, label=ds.label)
+            assert got.herald_probability == ref.herald_probability
+            assert got.fidelity == ref.fidelity
+            assert np.array_equal(got.rho_out.matrix, ref.rho_out.matrix)
+
+    def test_shot_herald_marginal_matches_digit_loop(self, device, monkeypatch):
+        # every multinomial draw and every record the run makes, seen from outside
+        draws, records = [], []
+        real_rng, real_tomography = teleport.shot_rng, teleport.state_tomography
+
+        class Recorder:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def multinomial(self, *args):
+                draws.append(self.gen.multinomial(*args))
+                return draws[-1]
+
+        def tomography(recs, *args, **kwargs):
+            records.extend(recs)
+            return real_tomography(recs, *args, **kwargs)
+
+        monkeypatch.setattr(teleport, "shot_rng", lambda *a: Recorder(real_rng(*a)))
+        monkeypatch.setattr(teleport, "state_tomography", tomography)
+        run = run_teleportation(SCRAMBLE, design_states()[2].state, device, 1.0, shots=3000, seed=11)
+        assert len(draws) == len(records) == 4
+        idx = QuditIndexing(3, 5)
+        for counts, record in zip(draws, records):
+            marginal, kept = {}, 0
+            for i, c in enumerate(counts):
+                digits = idx.label_to_digits(i)
+                if c and digits[1] == 0 and digits[2] == 0:
+                    kept += c
+                    marginal[str(digits[4])] = marginal.get(str(digits[4]), 0) + int(c)
+            assert record.counts == marginal and record.shots == kept
+        assert run.herald_probability == sum(r.shots for r in records) / (4 * 3000)

@@ -461,18 +461,24 @@ class NoiseModel:
 
     ``damping[i]`` is (T1_10, T1_21) and ``dephasing[i]`` is
     (T2_01, T2_12, T2_02), in seconds, for 1-based site i+1; ``scale``
-    multiplies all decay rates (0 disables noise).  Channels are built once
-    per parameter set and shared, read-only, by every model.
+    multiplies all decay rates (0 disables noise).  Lists are accepted and
+    stored as tuples, so equal models compare and hash equal and can key a
+    cache.  Channels are built once per parameter set and shared, read-only,
+    by every model.
     """
 
-    damping: list[tuple[float, float]]
-    dephasing: list[tuple[float, float, float]]
+    damping: tuple[tuple[float, float], ...]
+    dephasing: tuple[tuple[float, float, float], ...]
     scale: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "damping", tuple(tuple(t) for t in self.damping))
+        object.__setattr__(self, "dephasing", tuple(tuple(t) for t in self.dephasing))
 
     def _channel(self, site: int, duration: float) -> tuple[np.ndarray, np.ndarray] | None:
         if self.scale <= 0.0 or duration <= 0.0:
             return None
-        return _site_channel(tuple(self.damping[site - 1]), tuple(self.dephasing[site - 1]), self.scale, duration)
+        return _site_channel(self.damping[site - 1], self.dephasing[site - 1], self.scale, duration)
 
     def site_kraus(self, site: int, duration: float) -> np.ndarray | None:
         """Kraus stack of the site's channel over ``duration``, or None

@@ -231,6 +231,15 @@ def test_noise_model_replace_rebuilds_channels():
         model.scale = 0.5
 
 
+def test_noise_model_stores_tuples_and_hashes_by_value():
+    listed = NoiseModel(damping=[[50e-6, 25e-6]], dephasing=[[20e-6, 10e-6, 8e-6]], scale=1.0)
+    tupled = NoiseModel(damping=((50e-6, 25e-6),), dephasing=((20e-6, 10e-6, 8e-6),), scale=1.0)
+    assert listed.damping == ((50e-6, 25e-6),) and listed.dephasing == ((20e-6, 10e-6, 8e-6),)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert len({listed, tupled}) == 1
+    assert dataclasses.replace(listed, scale=0.5) != listed
+
+
 def test_equal_noise_models_share_read_only_channels():
     def model():
         return NoiseModel(damping=[(50e-6, 25e-6)], dephasing=[(20e-6, 10e-6, 8e-6)], scale=1.0)

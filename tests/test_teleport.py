@@ -1,16 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qutritsim import teleport
-from qutritsim.core import PureState, QuditIndexing
+from qutritsim.core import DensityState, PureState, QuditIndexing, partial_trace
+from qutritsim.device import load_device
+from qutritsim.gates import decompose_single_qutrit, state_preparation_pulses
+from qutritsim.readout import measured_probabilities
 from qutritsim.scrambling import design_states, scrambler_unitary
 from qutritsim.schedules import (
     ConditionalPiPulse,
+    CrossKerrCoeffs,
     Evolve,
     PermutationPulse,
     PhasePulse,
+    PulseSchedule,
     RotationPulse,
+    simulate_density,
 )
+from qutritsim.tomography import all_settings, setting_rotation
 from qutritsim.teleport import (
     ScramblerSpec,
     average_teleportation_fidelity,
@@ -185,3 +194,78 @@ class TestCompiledOnce:
                     marginal[str(digits[4])] = marginal.get(str(digits[4]), 0) + int(c)
             assert record.counts == marginal and record.shots == kept
         assert run.herald_probability == sum(r.shots for r in records) / (4 * 3000)
+
+
+def _rotations(site, pulses):
+    return tuple(RotationPulse(site, p.subspace, p.axis, p.angle) for p in pulses)
+
+
+def _whole_circuit_oracle(spec, psi, device, noise_scale, use_echo_t2=False):
+    """One uncached simulation of preparation, input pulses and the rest of
+    the protocol from |0...0>: (rho_out, fidelity, herald)."""
+    prep, rest = teleport._compile_protocol.__wrapped__(spec, device.pair(1, 2), device.pair(3, 4))
+    load = PulseSchedule(_rotations(1, state_preparation_pulses(psi.amplitudes)), 5)
+    noise = device.noise_model(noise_scale, use_echo=use_echo_t2) if noise_scale > 0 else None
+    rho0 = np.zeros((243, 243), dtype=complex)
+    rho0[0, 0] = 1.0
+    rho = simulate_density(prep.then(load).then(rest), rho0, device.coupling_map(), noise)
+    block = rho.reshape([3] * 10)[:, 0, 0, :, :, :, 0, 0, :, :].reshape(27, 27)
+    p = np.trace(block).real
+    rho5 = partial_trace(block / p, [3], 3, 3)
+    rho5 = (rho5 + rho5.conj().T) / 2.0
+    v = psi.amplitudes
+    return rho5, np.real(v.conj() @ rho5 @ v), p
+
+
+class TestPreparedOnce:
+    def test_cached_paths_match_whole_circuit_oracle(self, device):
+        # called in this order in one process, so a stale cache entry would show
+        slower_q3 = dataclasses.replace(device.qutrits[2], t1_10=device.qutrits[2].t1_10 / 2)
+        other_t1 = dataclasses.replace(device, qutrits=device.qutrits[:2] + (slower_q3,) + device.qutrits[3:])
+        c12 = device.pair(1, 2)
+        shifted = CrossKerrCoeffs(c12.alpha_11 * 1.02, c12.alpha_12, c12.alpha_21, c12.alpha_22 * 0.98)
+        other_kerr = dataclasses.replace(device, pairs={**device.pairs, (1, 2): shifted})
+        cases = [
+            (SCRAMBLE, device, 1.0, False),
+            (SCRAMBLE, device, 0.5, False),
+            (SCRAMBLE, device, 1.0, False),
+            (SCRAMBLE, device, 1.0, True),
+            (IDENTITY, device, 1.0, False),
+            (SCRAMBLE, other_t1, 1.0, False),
+            (SCRAMBLE, other_kerr, 1.0, False),
+        ]
+        psi = design_states()[7].state
+        for spec, dev, scale, echo in cases:
+            got = run_teleportation(spec, psi, dev, scale, use_echo_t2=echo)
+            rho5, fid, herald = _whole_circuit_oracle(spec, psi, dev, scale, echo)
+            assert np.abs(got.rho_out.matrix - rho5).max() < 1e-12
+            assert abs(got.fidelity - fid) < 1e-12
+            assert abs(got.herald_probability - herald) < 1e-12
+        compiled = teleport.build_protocol_schedules(SCRAMBLE, device)
+        assert teleport.build_protocol_schedules(SCRAMBLE, load_device()) is compiled
+        assert teleport.build_protocol_schedules(SCRAMBLE, other_kerr)[1] != compiled[1]
+
+    def test_prepared_register_is_read_only(self, device):
+        prep, _ = teleport.build_protocol_schedules(SCRAMBLE, device)
+        rho = teleport._prepared(prep, device.noise_model(1.0), device.coupling_map())
+        assert rho.shape == (81, 81) and not rho.flags.writeable
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+
+    def test_preparation_that_moves_qutrit_1_is_refused(self, device):
+        prep, _ = teleport.build_protocol_schedules(SCRAMBLE, device)
+        moved = PulseSchedule((RotationPulse(1, "01", "x", 0.3),) + prep.items, 5)
+        with pytest.raises(teleport.PreparationNotFactorizedError):
+            teleport._prepared(moved, None, device.coupling_map())
+
+    @pytest.mark.parametrize("with_confusion", [False, True])
+    def test_setting_probabilities_match_pre_rotation_simulation(self, device, rng, with_confusion):
+        a = rng.normal(size=(243, 243)) + 1j * rng.normal(size=(243, 243))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        confusion = device.confusion_matrices() if with_confusion else None
+        for setting in all_settings(1):
+            pre = _rotations(5, decompose_single_qutrit(setting_rotation(setting)))
+            rotated = simulate_density(PulseSchedule(pre, 5), rho, device.coupling_map())
+            old = measured_probabilities(DensityState(rotated, QuditIndexing(3, 5), validate=False), confusion)
+            new = teleport._setting_probabilities(rho, setting, confusion)
+            assert np.abs(new - old).max() < 1e-14

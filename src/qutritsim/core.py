@@ -76,9 +76,6 @@ class QuditIndexing:
             table[:, label] = self.label_to_digits(label)
         return table
 
-    def all_labels(self) -> list[str]:
-        return [self.label_string(i) for i in range(self.dim)]
-
 
 def _as_matrix(obj) -> np.ndarray:
     if isinstance(obj, QuditOperator):

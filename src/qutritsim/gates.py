@@ -85,14 +85,6 @@ def permutation_matrix(subspace: str) -> np.ndarray:
     return p
 
 
-def cyclic_shift_matrix(power: int = 1) -> np.ndarray:
-    """X**power as a phase-free permutation (|j> -> |j+power mod 3>)."""
-    p = np.zeros((3, 3), dtype=complex)
-    for j in range(3):
-        p[(j + power) % 3, j] = 1.0
-    return p
-
-
 def compose_s02(theta: float, axis: str) -> QuditOperator:
     """02-subspace rotation from three native pulses.
 
@@ -135,9 +127,6 @@ class VirtualPhaseFrame:
         i, j = _levels(subspace)
         self._phases[i] += -angle / 2.0
         self._phases[j] += angle / 2.0
-
-    def absorb_diagonal(self, phases) -> None:
-        self._phases += np.asarray(phases, dtype=float)
 
     def inverse(self) -> "VirtualPhaseFrame":
         other = VirtualPhaseFrame()

@@ -7,10 +7,11 @@ leg of site s is the row-major vec of that site's d x d block.  This is the
 Liouville tensor-network form of Wood, Biamonte & Cory (arXiv:1111.6950).
 :func:`to_superket` and :func:`from_superket` convert once on entry and
 exit.  In this layout every single-site map is one ``matmul`` of its
-d^2 x d^2 superoperator on its leg (:func:`apply_site_superop`), a two-site
-map is a d^4 x d^4 superoperator on two legs (:func:`apply_pair_superop`),
-and a cross-Kerr free evolution of one pair is an elementwise multiply by a
-d^2 x d^2 phase factor on its two legs (:func:`apply_pair_phases`).
+d^2 x d^2 superoperator on its leg (:func:`apply_site_superop`), and a
+two-site map is a d^4 x d^4 superoperator on two legs
+(:func:`apply_pair_superop`); the density simulator's compiled blocks are
+all of these two kinds.  A cross-Kerr phase on a pair is a diagonal
+superoperator, whose d^2 x d^2 diagonal :func:`pair_phase_factor` gives.
 Superoperators use the row-major convention
 ``vec(K rho K^dag) = (K kron K.conj()) vec(rho)``, which
 :func:`conjugation_superop` builds for a gate on one or more sites.
@@ -46,7 +47,7 @@ def apply_site_kraus(rho: np.ndarray, kraus: np.ndarray, left: int, site: int, r
 
 def apply_diag_phases(rho: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Conjugate rho by diag(exp(-1j*phases)); the tests' oracle for
-    :func:`apply_pair_phases`."""
+    :func:`pair_phase_factor`."""
     u = np.exp(-1j * phases)
     return (u[:, None] * rho) * u.conj()[None, :]
 
@@ -116,21 +117,15 @@ def apply_pair_superop(t: np.ndarray, s: np.ndarray, a: int, b: int) -> np.ndarr
     return np.ascontiguousarray(np.moveaxis(out, (0, 1), (a - 1, b - 1)))
 
 
-def apply_pair_phases(t: np.ndarray, phi: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Conjugate by the diagonal ``exp(-1j * phi[i_a, i_b])`` of 1-based
-    sites (a, b), in place: ``phi`` is d x d, indexed by the digits of site
-    ``a`` then site ``b``.  Returns ``t``.
+def pair_phase_factor(phi: np.ndarray) -> np.ndarray:
+    """The d^2 x d^2 diagonal, indexed by the legs of sites (a, b), of the
+    superoperator of conjugation by ``diag(exp(-1j * phi[i_a, i_b]))``;
+    ``phi`` is d x d, indexed by the digits of site ``a`` then site ``b``.
     """
     d = phi.shape[0]
     u = np.exp(-1j * phi)
     # factor[(r_a, c_a), (r_b, c_b)] = u[r_a, r_b] * conj(u[c_a, c_b])
-    factor = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
-    if a > b:
-        factor = factor.T
-    shape = [1] * t.ndim
-    shape[a - 1] = shape[b - 1] = d * d
-    t *= factor.reshape(shape)
-    return t
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
 
 
 def confusion_mix(probs: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -15,15 +15,22 @@ steps, and :func:`simulate_density` evolves a density matrix through them,
 adding optional always-on background couplings and per-segment
 relaxation and dephasing channels at the end of each timed segment.
 
-The density simulator holds rho in the site-interleaved superket layout
-of :mod:`.kernels` (one d^2 leg per site) from entry to exit, and keeps one
-pending 9x9 superoperator per site.  Pulses and each segment's noise
-channel are composed onto it (maps on different sites commute, and
-single-site maps compose).  A step that couples two sites (a free
-evolution's per-pair phase factor, a conditional-pi gate, a background
-phase) applies only those two sites' pending maps first, so every other
-site keeps composing; a conditional-pi gate absorbs them into its 81x81
-superoperator.  The rest are applied at the end.
+The density simulator compiles a schedule into a short list of site and
+pair superoperators and applies them to rho in the site-interleaved
+superket layout of :mod:`.kernels` (one d^2 leg per site).  Every map in
+a schedule is linear, every noise channel acts on one site and every
+coupling is diagonal, so maps on disjoint sites commute and the steps
+regroup into *blocks*: a block is one site, or a pair whose steps have
+coupled only each other since the block opened.  Each site keeps a
+pending 9x9 map of its pulses and noise channels; a coupling step folds
+its two sites' pending maps into the pair's 81x81 map (a ``matmul`` on
+each leg), then scales that map's rows (a free-evolution or background
+phase) or left-multiplies it (a conditional-pi gate).  A block is flushed,
+that is emitted as one op, when a step couples one of its sites to a site
+outside it; blocks and site maps still open at the end are emitted last.
+The op list is cached, bounded to 8 entries of read-only arrays, on
+``(schedule, sorted couplings, noise model, sorted background couplings,
+d)``, so repeated runs of one schedule pay only the applications.
 """
 
 from __future__ import annotations
@@ -493,6 +500,104 @@ class NoiseModel:
         return None if channel is None else channel[1]
 
 
+# Op-list cache bound.  An entry holds one read-only superoperator per op
+# (105 KB for a pair block); the teleportation protocol's interaction and
+# measurement schedule compiles to 6 ops, its preparation to fewer.
+_COMPILED_SCHEDULES = 8
+
+
+def _check_background(background: dict, n: int) -> None:
+    for pair, coeffs in background.items():
+        ok = isinstance(pair, tuple) and len(pair) == 2 and pair[0] != pair[1]
+        ok = ok and all(isinstance(s, Integral) and 1 <= s <= n for s in pair)
+        _check(ok, "background pair {!r} must join two distinct sites in 1..{}", pair, n)
+        _check(
+            isinstance(coeffs, CrossKerrCoeffs),
+            "background pair {!r} needs CrossKerrCoeffs, got {!r}",
+            pair,
+            coeffs,
+        )
+
+
+@functools.lru_cache(maxsize=_COMPILED_SCHEDULES)
+def _compiled_ops(schedule: PulseSchedule, couplings: tuple, noise, background: tuple, d: int) -> tuple:
+    """The density evolution of ``schedule`` as read-only ops ``(sites,
+    superoperator)``, applied in order: a d^2 x d^2 map on one site or a
+    d^4 x d^4 map on the legs of a pair ``(a, b)`` with a < b.
+    ``couplings`` and ``background`` are sorted (pair, coefficients) items.
+    Blocks and flushes are as in the module docstring.
+    """
+    n = schedule.n_sites
+    dd = d * d
+    local: dict = {}  # site -> its map since its block last took a coupling step
+    opened: dict = {}  # (a, b) with a < b -> the pair's pending d^4 x d^4 map
+    owner: dict = {}  # site -> the open pair it belongs to
+    ops: list = []
+
+    def compose(site, s):
+        local[site] = s @ local[site] if site in local else s
+
+    def fold(pair):
+        """The pair's map with both sites' local maps applied after it."""
+        a, b = pair
+        m = opened[pair]
+        if a in local:
+            m = (local.pop(a) @ m.reshape(dd, -1)).reshape(dd * dd, dd * dd)
+        if b in local:
+            m = np.matmul(local.pop(b), m.reshape(dd, dd, -1)).reshape(dd * dd, dd * dd)
+        return m
+
+    def emit(pair):
+        ops.append((pair, fold(pair)))
+        del opened[pair], owner[pair[0]], owner[pair[1]]
+
+    def block(a, b):
+        """Open (or keep) the block of the pair; returns it in a < b order."""
+        pair = (min(a, b), max(a, b))
+        if owner.get(a) != pair:
+            for site in pair:
+                if site in owner:
+                    emit(owner[site])
+            opened[pair] = np.eye(dd * dd, dtype=complex)
+            owner[a] = owner[b] = pair
+        opened[pair] = fold(pair)
+        return pair
+
+    def phase(a, b, phi):
+        factor = kernels.pair_phase_factor(phi)
+        pair = block(a, b)
+        opened[pair] *= (factor if a < b else factor.T).reshape(-1, 1)
+
+    sim = ScheduleSimulator(n, dict(couplings), d)
+    for step in sim.steps(schedule.items):
+        match step:
+            case ("site", site, m):
+                compose(site, kernels.conjugation_superop(m, d))
+            case ("phase", a, b, phi):
+                phase(a, b, phi)
+            case ("pair", a, b, gate):
+                s = kernels.conjugation_superop(gate, d)
+                if a > b:
+                    s = s.reshape(dd, dd, dd, dd).transpose(1, 0, 3, 2).reshape(dd * dd, dd * dd)
+                pair = block(a, b)
+                opened[pair] = s @ opened[pair]
+            case ("segment", duration, excluded) if duration > 0:
+                for (a, b), coeffs in background:
+                    if frozenset((a, b)) not in excluded:
+                        phase(a, b, coeffs.rate_matrix() * duration)
+                if noise is not None:
+                    for site in range(1, n + 1):
+                        s = noise.site_superop(site, duration)
+                        if s is not None:
+                            compose(site, s)
+    for pair in sorted(opened):
+        emit(pair)
+    ops.extend(((site,), local[site]) for site in sorted(local))
+    for _, s in ops:
+        s.flags.writeable = False
+    return tuple(ops)
+
+
 def simulate_density(
     schedule: PulseSchedule,
     rho0: np.ndarray,
@@ -507,7 +612,13 @@ def simulate_density(
     during every timed item (always-on couplings), excluding the pair a
     conditional-pi gate acts on and any pair already listed by the item.
     Raises :class:`DimensionMismatchError` before any step when ``rho0`` is
-    not d^n x d^n or ``noise`` covers fewer than n sites.
+    not d^n x d^n or ``noise`` covers fewer than n sites, and
+    :class:`ScheduleValidationError` when a background pair does not join
+    two distinct sites in 1..n or its value is not :class:`CrossKerrCoeffs`.
+
+    The schedule compiles to a few site and pair superoperators, cached on
+    ``(schedule, couplings, noise, background_pairs, d)`` (bounded, read-only
+    entries); each call applies them to rho in the superket layout.
     """
     n = schedule.n_sites
     rho0 = np.asarray(rho0)
@@ -516,42 +627,17 @@ def simulate_density(
     covered = n if noise is None else min(len(noise.damping), len(noise.dephasing))
     if covered < n:
         raise DimensionMismatchError(f"the noise model covers {covered} sites, the schedule has {n}")
-    sim = ScheduleSimulator(n, couplings, d)
-    t = kernels.to_superket(rho0, n, d)
     background = dict(background_pairs or {})
-    pending: dict = {}  # site -> superoperator of the site's maps since it was last applied
-    identity = np.eye(d * d)
-
-    def compose(site, s):
-        pending[site] = s @ pending[site] if site in pending else s
-
-    def flush(t, *sites):
-        for site in sites:
-            if site in pending:
-                t = kernels.apply_site_superop(t, pending.pop(site), site)
-        return t
-
-    for step in sim.steps(schedule.items):
-        match step:
-            case ("site", site, m):
-                compose(site, kernels.conjugation_superop(m, d))
-            case ("phase", a, b, phi):
-                t = kernels.apply_pair_phases(flush(t, a, b), phi, a, b)
-            case ("pair", a, b, gate):
-                s = kernels.conjugation_superop(gate, d)
-                if a in pending or b in pending:
-                    s = s @ np.kron(pending.pop(a, identity), pending.pop(b, identity))
-                t = kernels.apply_pair_superop(t, s, a, b)
-            case ("segment", duration, excluded) if duration > 0:
-                for (a, b), coeffs in background.items():
-                    if frozenset((a, b)) not in excluded:
-                        t = kernels.apply_pair_phases(flush(t, a, b), coeffs.rate_matrix() * duration, a, b)
-                if noise is not None:
-                    for site in range(1, n + 1):
-                        s = noise.site_superop(site, duration)
-                        if s is not None:
-                            compose(site, s)
-    return kernels.from_superket(flush(t, *list(pending)), n, d)
+    _check_background(background, n)
+    couplings = tuple(sorted((couplings or {}).items()))
+    ops = _compiled_ops(schedule, couplings, noise, tuple(sorted(background.items())), d)
+    t = kernels.to_superket(rho0, n, d)
+    for sites, s in ops:
+        if len(sites) == 1:
+            t = kernels.apply_site_superop(t, s, *sites)
+        else:
+            t = kernels.apply_pair_superop(t, s, *sites)
+    return kernels.from_superket(t, n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -62,14 +62,6 @@ def controlled_phase_matrix(inverse: bool = False) -> QuditOperator:
     return QuditOperator(np.diag(diag), QuditIndexing(3, 2))
 
 
-def diagonal_from_pair_phases(phases) -> QuditOperator:
-    """9x9 diagonal with the given phases on |11>,|12>,|21>,|22>, zero elsewhere."""
-    diag = np.ones(9, dtype=complex)
-    for (m, n), phi in zip(((1, 1), (1, 2), (2, 1), (2, 2)), phases):
-        diag[3 * m + n] = np.exp(1j * phi)
-    return QuditOperator(np.diag(diag), QuditIndexing(3, 2))
-
-
 # ---------------------------------------------------------------------------
 # four-segment synthesis
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ _FACTORIZATION_ATOL = 1e-12  # |0><0| x rho_2345 against the prepared register
 # prepared register 105 KB, so full caches stay well under a megabyte.
 _COMPILED_PROTOCOLS = 8
 _PREPARED_REGISTERS = 8
+_TOMOGRAPHY_SETTINGS = len(all_settings(1))  # one 3x3 pre-rotation each
 
 SCRAMBLER_CHOICES = ("maximally_scrambling", "identity_control")
 
@@ -293,6 +294,16 @@ def _run_compiled(schedules, input_state, device, noise_scale, shots, seed, labe
     return _run_with_shots(rho, input_state, device, noise, shots, seed, label)
 
 
+@functools.lru_cache(maxsize=_TOMOGRAPHY_SETTINGS)
+def _setting_unitary(setting) -> np.ndarray:
+    """Read-only 3x3 unitary of the compiled pre-rotation pulses of a
+    one-qutrit tomography ``setting``."""
+    pre = _rotation_items(1, decompose_single_qutrit(setting_rotation(setting)))
+    u = simulate_unitary(PulseSchedule(tuple(pre), 1)).matrix
+    u.flags.writeable = False
+    return u
+
+
 def _setting_probabilities(rho: np.ndarray, setting, confusion) -> np.ndarray:
     """Outcome distribution over five-qutrit strings of the circuit output
     ``rho`` after the tomography pre-rotation of ``setting`` on qutrit 5,
@@ -302,8 +313,7 @@ def _setting_probabilities(rho: np.ndarray, setting, confusion) -> np.ndarray:
     3x3 qutrit-5 blocks (one per digit string of qutrits 1-4) reach the
     populations; each is conjugated by the pulses' 3x3 unitary.
     """
-    pre = _rotation_items(1, decompose_single_qutrit(setting_rotation(setting)))
-    u = simulate_unitary(PulseSchedule(tuple(pre), 1)).matrix
+    u = _setting_unitary(setting)
     x = np.arange(81)
     blocks = rho.reshape(81, 3, 81, 3)[x, :, x, :]
     pops = np.einsum("ka,xab,kb->xk", u, blocks, u.conj()).real.reshape(-1)

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qutritsim import kernels
+from qutritsim import kernels, schedules
 from qutritsim.core import DimensionMismatchError, QuditIndexing, embed
 from qutritsim.schedules import (
     Concurrent,
@@ -220,6 +222,138 @@ def test_noisy_density_matches_per_step_reference(rng, device):
     assert np.abs(ref - simulate_density(sched, rho0, couplings, None, background)).max() > 1e-4
 
 
+
+# every pair of a 4-site register, two of them keyed in reverse order
+_ALL_PAIRS = {
+    (1, 2): Q1Q2,
+    (3, 1): CrossKerrCoeffs.from_khz(-150, 90, -310, -420),
+    (1, 4): CrossKerrCoeffs.from_khz(-276, -631, 243, -748),
+    (2, 3): CrossKerrCoeffs.from_khz(120, -80, -400, 300),
+    (4, 2): CrossKerrCoeffs.from_khz(-90, 210, -35, -610),
+    (3, 4): Q1Q2.transpose(),
+}
+_NOISE_4 = NoiseModel(damping=[(50e-6, 25e-6)] * 4, dephasing=[(20e-6, 10e-6, 8e-6)] * 4, scale=20.0)
+
+
+def _density(seed, dim):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+@st.composite
+def _density_cases(draw):
+    """Random 3- and 4-site schedules over every item kind: non-adjacent and
+    reversed pairs, Concurrent blocks, one pair coupled twice in a row,
+    background couplings and noise."""
+    n = draw(st.sampled_from([3, 4]))
+    site = st.integers(1, n)
+    angle = st.floats(-np.pi, np.pi)
+    subspace = st.sampled_from(["01", "12", "02"])
+    duration = st.sampled_from([3e-8, 7e-8, 1.2e-7])
+
+    def pair():
+        a = draw(site)
+        return a, draw(site.filter(lambda b: b != a))
+
+    def cpi(a, b, dt):
+        return ConditionalPiPulse(a, b, dt, condition=draw(st.integers(0, 2)), fraction=draw(st.floats(-1, 1)))
+
+    items = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["rotation", "permutation", "phase", "cpi", "evolve", "concurrent", "twice"]))
+        if kind == "rotation":
+            items.append(RotationPulse(draw(site), draw(subspace), draw(st.sampled_from("xyz")), draw(angle)))
+        elif kind == "permutation":
+            items.append(PermutationPulse(draw(site), draw(subspace)))
+        elif kind == "phase":
+            items.append(PhasePulse(draw(site), (draw(angle), draw(angle), draw(angle))))
+        elif kind == "cpi":
+            items.append(cpi(*pair(), draw(duration)))
+        elif kind == "evolve":
+            pairs = [pair() for _ in range(draw(st.integers(1, 2)))]
+            if set(pairs[0]) == set(pairs[-1]):
+                pairs = pairs[:1]
+            items.append(Evolve(tuple(pairs), draw(duration)))
+        elif kind == "concurrent":
+            a, b = pair()
+            rest = [s for s in range(1, n + 1) if s not in (a, b)]
+            dt = draw(duration)
+            others = (tuple(rest),) if len(rest) == 2 else ()
+            items.append(Concurrent((cpi(a, b, dt), Evolve(others, dt)), dt))
+        else:
+            a, b = pair()
+            dt = draw(duration)
+            items += [cpi(a, b, dt), Evolve(((b, a),), dt)]
+    in_register = {p: c for p, c in _ALL_PAIRS.items() if max(p) <= n}
+    keys = draw(st.sets(st.sampled_from(sorted(in_register)), max_size=3))
+    background = {p: in_register[p] for p in sorted(keys)}
+    return PulseSchedule(tuple(items), n), in_register, background, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_density_cases())
+def test_block_compiled_density_matches_per_step_reference(case):
+    sched, couplings, background, seed = case
+    rho0 = _density(seed, 3**sched.n_sites)
+    got = simulate_density(sched, rho0, couplings, _NOISE_4, background)
+    ref = _reference_density(sched, rho0, couplings, _NOISE_4, background)
+    assert np.abs(got - ref).max() < 1e-12
+
+
+def _cache_case():
+    couplings = {(1, 2): Q1Q2, (2, 3): CrossKerrCoeffs.from_khz(-276, -631, 243, -748)}
+    background = {(1, 3): CrossKerrCoeffs.from_khz(-150, 90, -310, -420)}
+    items = (
+        RotationPulse(1, "01", "y", 0.7),
+        Evolve(((1, 2),), 8e-8),
+        RotationPulse(3, "12", "x", 0.3),
+        ConditionalPiPulse(2, 3, 6e-8, fraction=0.6),
+        RotationPulse(2, "02", "x", -0.4),
+    )
+    return PulseSchedule(items, 3), _density(7, 27), couplings, _NOISE_4, background
+
+
+def test_compiled_schedule_cache_hit_is_bitwise_equal_and_read_only():
+    sched, rho0, couplings, noise, background = _cache_case()
+    schedules._compiled_ops.cache_clear()
+    first = simulate_density(sched, rho0, couplings, noise, background)
+    hits = schedules._compiled_ops.cache_info().hits
+    again = simulate_density(sched, rho0, dict(couplings), dataclasses.replace(noise), dict(background))
+    assert schedules._compiled_ops.cache_info().hits == hits + 1
+    assert np.array_equal(first, again)
+    key = (sched, tuple(sorted(couplings.items())), noise, tuple(sorted(background.items())), 3)
+    ops = schedules._compiled_ops(*key)
+    # the background (1, 3) coupling flushes the (1, 2) and (2, 3) blocks
+    assert [sites for sites, _ in ops] == [(1, 2), (1, 3), (2, 3), (1, 3), (2,)]
+    for _, s in ops:
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0, 0] = 0.0
+
+
+def test_changed_inputs_get_a_fresh_compiled_schedule():
+    sched, rho0, couplings, noise, background = _cache_case()
+    base = simulate_density(sched, rho0, couplings, noise, background)
+    shifted = CrossKerrCoeffs(Q1Q2.alpha_11, Q1Q2.alpha_12, Q1Q2.alpha_21, Q1Q2.alpha_22 * 1.05)
+    cases = [
+        (couplings, dataclasses.replace(noise, scale=10.0), background),
+        ({**couplings, (1, 2): shifted}, noise, background),
+        (couplings, noise, {(1, 2): background[(1, 3)]}),
+    ]
+    for c, nz, bg in cases:
+        got = simulate_density(sched, rho0, c, nz, bg)
+        assert np.abs(got - _reference_density(sched, rho0, c, nz, bg)).max() < 1e-12
+        assert np.abs(got - base).max() > 1e-6
+    # a couplings dict mutated after a call
+    mutable = dict(couplings)
+    simulate_density(sched, rho0, mutable, noise, background)
+    mutable[(1, 2)] = shifted
+    got = simulate_density(sched, rho0, mutable, noise, background)
+    assert np.abs(got - _reference_density(sched, rho0, mutable, noise, background)).max() < 1e-12
+
+
 def test_noise_model_replace_rebuilds_channels():
     model = NoiseModel(damping=[(50e-6, 25e-6)], dephasing=[(20e-6, 10e-6, 8e-6)], scale=1.0)
     model.site_kraus(1, 1e-6)  # fill the cache at scale 1
@@ -260,6 +394,16 @@ def test_density_input_mismatch_raises_before_any_step():
     one_site = NoiseModel(damping=[(50e-6, 25e-6)], dephasing=[(20e-6, 10e-6, 8e-6)])
     with pytest.raises(DimensionMismatchError, match="noise model covers 1 sites"):
         simulate_density(sched, np.eye(9, dtype=complex) / 9, couplings={}, noise=one_site)
+    bad_background = [
+        ({(1, 3): Q1Q2}, r"distinct sites in 1\.\.2"),
+        ({(0, 1): Q1Q2}, r"distinct sites in 1\.\.2"),
+        ({(2, 2): Q1Q2}, r"distinct sites in 1\.\.2"),
+        ({(1, 2, 1): Q1Q2}, r"distinct sites in 1\.\.2"),
+        ({(1, 2): (1.0, 2.0, 3.0, 4.0)}, "needs CrossKerrCoeffs"),
+    ]
+    for background, match in bad_background:
+        with pytest.raises(ScheduleValidationError, match=match):
+            simulate_density(sched, np.eye(9, dtype=complex) / 9, couplings={}, background_pairs=background)
 
 
 def test_reversed_schedule_inverts(rng):

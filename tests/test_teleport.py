@@ -18,6 +18,7 @@ from qutritsim.schedules import (
     PulseSchedule,
     RotationPulse,
     simulate_density,
+    simulate_unitary,
 )
 from qutritsim.tomography import all_settings, setting_rotation
 from qutritsim.teleport import (
@@ -269,3 +270,12 @@ class TestPreparedOnce:
             old = measured_probabilities(DensityState(rotated, QuditIndexing(3, 5), validate=False), confusion)
             new = teleport._setting_probabilities(rho, setting, confusion)
             assert np.abs(new - old).max() < 1e-14
+
+    def test_setting_unitaries_are_built_once_and_read_only(self):
+        for setting in all_settings(1):
+            pre = _rotations(1, decompose_single_qutrit(setting_rotation(setting)))
+            rebuilt = simulate_unitary(PulseSchedule(pre, 1)).matrix
+            cached = teleport._setting_unitary(setting)
+            assert np.array_equal(cached, rebuilt)
+            assert teleport._setting_unitary(setting) is cached
+            assert not cached.flags.writeable

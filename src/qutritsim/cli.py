@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -337,6 +338,22 @@ def _require(payload: dict, key: str, kind: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _noise_scale(text: str) -> float:
+    """argparse type: a finite, non-negative noise scale."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
+
+
+def _shot_count(text: str) -> int:
+    """argparse type: a positive integer number of shots."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qutritsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("teleport", help="five-qutrit teleportation experiment")
     p.add_argument("--scrambler", choices=["us", "identity"], default="us")
     p.add_argument("--exact", action="store_true", help="exact heralded states (no sampling)")
-    p.add_argument("--shots", type=int, default=10000)
-    p.add_argument("--noise-scale", type=float, default=0.0)
+    p.add_argument("--shots", type=_shot_count, default=10000)
+    p.add_argument("--noise-scale", type=_noise_scale, default=0.0)
     common(p)
     p.set_defaults(func=_cmd_teleport)
 
@@ -378,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scramble-qpt", help="process tomography of the scrambler")
     p.add_argument("--unitary", choices=sorted(_UNITARIES), default="us")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--shots", type=int, default=10000)
-    p.add_argument("--noise-scale", type=float, default=0.0)
+    p.add_argument("--shots", type=_shot_count, default=10000)
+    p.add_argument("--noise-scale", type=_noise_scale, default=0.0)
     common(p)
     p.set_defaults(func=_cmd_scramble_qpt)
 

@@ -302,12 +302,6 @@ class PauliLabel:
     def identity(cls, n: int, d: int = 3) -> "PauliLabel":
         return cls(((0, 0),) * n, d)
 
-    @classmethod
-    def single_site(cls, site: int, a: int, b: int, n: int, d: int = 3) -> "PauliLabel":
-        exps = [(0, 0)] * n
-        exps[site - 1] = (a, b)
-        return cls(tuple(exps), d)
-
     @property
     def n(self) -> int:
         return len(self.exponents)
@@ -446,15 +440,6 @@ def operator_schmidt_rank(op, cut_sites, n: int, d: int = 3, tol: float = 1e-8) 
     reshuffled = tensor.transpose(perm).reshape(dl * dl, dr * dr)
     svals = np.linalg.svd(reshuffled, compute_uv=False)
     return int(np.sum(svals > tol))
-
-
-def phase_aligned_distance(u, v) -> float:
-    """Frobenius distance between u and e^{i phi} v at the optimal global phase,
-    normalized by sqrt(dim)."""
-    mu, mv = _as_matrix(u), _as_matrix(v)
-    inner = np.trace(mv.conj().T @ mu)
-    phase = inner / abs(inner) if abs(inner) > 1e-14 else 1.0
-    return float(np.linalg.norm(mu - phase * mv) / np.sqrt(mu.shape[0]))
 
 
 def _unit_phases(v: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ relaxation and dephasing channels at the end of each timed segment.
 
 The density simulator compiles a schedule into a short list of site and
 pair superoperators and applies them to rho in the site-interleaved
-superket layout of :mod:`.kernels` (one d^2 leg per site).  Every map in
+superket layout of :mod:`.kernels` (one 9-dim leg per site).  Every map in
 a schedule is linear, every noise channel acts on one site and every
 coupling is diagonal, so maps on disjoint sites commute and the steps
 regroup into *blocks*: a block is one site, or a pair whose steps have
@@ -29,8 +29,8 @@ phase) or left-multiplies it (a conditional-pi gate).  A block is flushed,
 that is emitted as one op, when a step couples one of its sites to a site
 outside it; blocks and site maps still open at the end are emitted last.
 The op list is cached, bounded to 8 entries of read-only arrays, on
-``(schedule, sorted couplings, noise model, sorted background couplings,
-d)``, so repeated runs of one schedule pay only the applications.
+``(schedule, sorted couplings, noise model, sorted background
+couplings)``, so repeated runs of one schedule pay only the applications.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ from .gates import (
     permutation_matrix,
     rotation_matrix,
 )
+
+
+_D = 3  # levels per site: every schedule item acts on qutrits
 
 
 class ScheduleValidationError(ValueError):
@@ -365,27 +368,26 @@ def _coupling_rate(couplings: dict, pair: tuple[int, int]) -> np.ndarray | None:
 class ScheduleSimulator:
     """The one walk from schedule items to steps on an n-site register."""
 
-    def __init__(self, n: int, couplings: dict | None = None, d: int = 3):
+    def __init__(self, n: int, couplings: dict | None = None):
         self.n = n
-        self.d = d
-        self.indexing = QuditIndexing(d, n)
+        self.indexing = QuditIndexing(_D, n)
         self.couplings = dict(couplings or {})
 
     def item_unitary(self, item: ConditionalPiPulse) -> np.ndarray:
         """Full-register matrix of a (fractional) conditional-pi gate; a
         dense oracle for the ``("pair", ...)`` step the simulators apply."""
         gate = conditional_pi_partial(item.condition, item.fraction)
-        return embed(gate, [item.control, item.target], self.n, self.d).matrix
+        return embed(gate, [item.control, item.target], self.n, _D).matrix
 
     def steps(self, items):
         """Yield the register steps of ``items`` in order:
 
-        - ``("site", site, m)``: a d x d local pulse ``m`` on one site;
+        - ``("site", site, m)``: a 3x3 local pulse ``m`` on one site;
         - ``("phase", a, b, phi)``: one coupled pair of an ``Evolve``, the
-          diagonal ``exp(-1j * phi[i_a, i_b])`` with ``phi`` the d x d table
+          diagonal ``exp(-1j * phi[i_a, i_b])`` with ``phi`` the 3x3 table
           rate * duration, indexed by the digits of site ``a`` then ``b``;
         - ``("pair", control, target, g)``: a (fractional) conditional-pi
-          gate, the d^2 x d^2 matrix ``g`` on (control, target);
+          gate, the 9x9 matrix ``g`` on (control, target);
         - ``("segment", duration, excluded)``: after each top-level timed
           item or ``Concurrent`` block, the wall-clock interval it spans;
           always-on background couplings act on every pair except the
@@ -422,25 +424,25 @@ class ScheduleSimulator:
             raise TypeError(f"unknown schedule item {item!r}")
 
 
-def simulate_unitary(schedule: PulseSchedule, couplings: dict | None = None, d: int = 3) -> QuditOperator:
+def simulate_unitary(schedule: PulseSchedule, couplings: dict | None = None) -> QuditOperator:
     """Compose the ideal unitary of a schedule."""
     n = schedule.n_sites
-    sim = ScheduleSimulator(n, couplings, d)
+    sim = ScheduleSimulator(n, couplings)
     dim = sim.indexing.dim
     u = np.eye(dim, dtype=complex)
     for step in sim.steps(schedule.items):
         match step:
             case ("site", site, m):
-                rows = u.reshape(d ** (site - 1), d, -1)
+                rows = u.reshape(_D ** (site - 1), _D, -1)
                 u = np.einsum("ab,lbr->lar", m, rows).reshape(dim, dim)
             case ("phase", a, b, phi):
                 shape = [1] * (n + 1)
-                shape[a - 1] = shape[b - 1] = d
+                shape[a - 1] = shape[b - 1] = _D
                 factor = np.exp(-1j * (phi if a < b else phi.T)).reshape(shape)
-                u = (u.reshape((d,) * n + (dim,)) * factor).reshape(dim, dim)
+                u = (u.reshape((_D,) * n + (dim,)) * factor).reshape(dim, dim)
             case ("pair", a, b, gate):
-                rows = u.reshape((d,) * n + (dim,))
-                rows = np.tensordot(gate.reshape(d, d, d, d), rows, axes=([2, 3], [a - 1, b - 1]))
+                rows = u.reshape((_D,) * n + (dim,))
+                rows = np.tensordot(gate.reshape(_D, _D, _D, _D), rows, axes=([2, 3], [a - 1, b - 1]))
                 u = np.moveaxis(rows, (0, 1), (a - 1, b - 1)).reshape(dim, dim)
     return QuditOperator(u, sim.indexing)
 
@@ -520,17 +522,17 @@ def _check_background(background: dict, n: int) -> None:
 
 
 @functools.lru_cache(maxsize=_COMPILED_SCHEDULES)
-def _compiled_ops(schedule: PulseSchedule, couplings: tuple, noise, background: tuple, d: int) -> tuple:
+def _compiled_ops(schedule: PulseSchedule, couplings: tuple, noise, background: tuple) -> tuple:
     """The density evolution of ``schedule`` as read-only ops ``(sites,
-    superoperator)``, applied in order: a d^2 x d^2 map on one site or a
-    d^4 x d^4 map on the legs of a pair ``(a, b)`` with a < b.
+    superoperator)``, applied in order: a 9x9 map on one site or an
+    81x81 map on the legs of a pair ``(a, b)`` with a < b.
     ``couplings`` and ``background`` are sorted (pair, coefficients) items.
     Blocks and flushes are as in the module docstring.
     """
     n = schedule.n_sites
-    dd = d * d
+    dd = _D * _D
     local: dict = {}  # site -> its map since its block last took a coupling step
-    opened: dict = {}  # (a, b) with a < b -> the pair's pending d^4 x d^4 map
+    opened: dict = {}  # (a, b) with a < b -> the pair's pending 81x81 map
     owner: dict = {}  # site -> the open pair it belongs to
     ops: list = []
 
@@ -568,15 +570,15 @@ def _compiled_ops(schedule: PulseSchedule, couplings: tuple, noise, background: 
         pair = block(a, b)
         opened[pair] *= (factor if a < b else factor.T).reshape(-1, 1)
 
-    sim = ScheduleSimulator(n, dict(couplings), d)
+    sim = ScheduleSimulator(n, dict(couplings))
     for step in sim.steps(schedule.items):
         match step:
             case ("site", site, m):
-                compose(site, kernels.conjugation_superop(m, d))
+                compose(site, kernels.conjugation_superop(m, _D))
             case ("phase", a, b, phi):
                 phase(a, b, phi)
             case ("pair", a, b, gate):
-                s = kernels.conjugation_superop(gate, d)
+                s = kernels.conjugation_superop(gate, _D)
                 if a > b:
                     s = s.reshape(dd, dd, dd, dd).transpose(1, 0, 3, 2).reshape(dd * dd, dd * dd)
                 pair = block(a, b)
@@ -604,7 +606,6 @@ def simulate_density(
     couplings: dict | None = None,
     noise: NoiseModel | None = None,
     background_pairs: dict | None = None,
-    d: int = 3,
 ) -> np.ndarray:
     """Evolve a density matrix through a schedule.
 
@@ -612,32 +613,33 @@ def simulate_density(
     during every timed item (always-on couplings), excluding the pair a
     conditional-pi gate acts on and any pair already listed by the item.
     Raises :class:`DimensionMismatchError` before any step when ``rho0`` is
-    not d^n x d^n or ``noise`` covers fewer than n sites, and
+    not 3^n x 3^n or ``noise`` covers fewer than n sites, and
     :class:`ScheduleValidationError` when a background pair does not join
     two distinct sites in 1..n or its value is not :class:`CrossKerrCoeffs`.
 
     The schedule compiles to a few site and pair superoperators, cached on
-    ``(schedule, couplings, noise, background_pairs, d)`` (bounded, read-only
+    ``(schedule, couplings, noise, background_pairs)`` (bounded, read-only
     entries); each call applies them to rho in the superket layout.
     """
     n = schedule.n_sites
     rho0 = np.asarray(rho0)
-    if rho0.shape != (d**n, d**n):
-        raise DimensionMismatchError(f"rho0 has shape {rho0.shape}, expected {(d**n, d**n)} for {n} sites")
+    dim = _D**n
+    if rho0.shape != (dim, dim):
+        raise DimensionMismatchError(f"rho0 has shape {rho0.shape}, expected {(dim, dim)} for {n} sites")
     covered = n if noise is None else min(len(noise.damping), len(noise.dephasing))
     if covered < n:
         raise DimensionMismatchError(f"the noise model covers {covered} sites, the schedule has {n}")
     background = dict(background_pairs or {})
     _check_background(background, n)
     couplings = tuple(sorted((couplings or {}).items()))
-    ops = _compiled_ops(schedule, couplings, noise, tuple(sorted(background.items())), d)
-    t = kernels.to_superket(rho0, n, d)
+    ops = _compiled_ops(schedule, couplings, noise, tuple(sorted(background.items())))
+    t = kernels.to_superket(rho0, n, _D)
     for sites, s in ops:
         if len(sites) == 1:
             t = kernels.apply_site_superop(t, s, *sites)
         else:
             t = kernels.apply_pair_superop(t, s, *sites)
-    return kernels.from_superket(t, n, d)
+    return kernels.from_superket(t, n, _D)
 
 
 # ---------------------------------------------------------------------------

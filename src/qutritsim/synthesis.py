@@ -50,10 +50,6 @@ def controlled_phase_phases() -> np.ndarray:
     return np.array([third, 2 * third, 2 * third, third])
 
 
-def inverse_controlled_phase_phases() -> np.ndarray:
-    return -controlled_phase_phases()
-
-
 def controlled_phase_matrix(inverse: bool = False) -> QuditOperator:
     w = np.exp(2j * np.pi / 3.0)
     diag = np.array([w ** ((m * n) % 3) for m in range(3) for n in range(3)])
@@ -146,18 +142,6 @@ def build_four_segment_schedule(
         Evolve(((i, j),), t_a),
     ]
     return PulseSchedule(tuple(items), n)
-
-
-def synthesize_controlled_phase(
-    c: CrossKerrCoeffs,
-    pair: tuple[int, int] = (1, 2),
-    n_sites: int | None = None,
-    inverse: bool = False,
-    prefer_total: float | None = None,
-) -> tuple[PulseSchedule, tuple[float, float, float, float]]:
-    phases = inverse_controlled_phase_phases() if inverse else controlled_phase_phases()
-    times = solve_four_segment(c, phases, prefer_total=prefer_total)
-    return build_four_segment_schedule(pair, times, n_sites), times
 
 
 # ---------------------------------------------------------------------------

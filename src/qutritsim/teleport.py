@@ -15,16 +15,23 @@ parameter set in a process.  The protocol is compiled once per
 compilation reads.  The preparation of the entangled pairs on (2,3) and
 (4,5) is simulated once per ``(preparation schedule, noise model,
 couplings)``; qutrit 1 stays in |0> through it (the T1/T2 channels fix
-|0><0|), so the prepared register factors as |0><0| x rho_2345, and every
-input starts from |psi><psi| x rho_2345 with only the interaction and
-measurement schedule left to simulate.  Both caches are bounded and hold
-immutable schedules and read-only arrays.
+|0><0|), so the prepared register factors as |0><0| x rho_2345.  Both
+caches are bounded and hold immutable schedules and read-only arrays.
+
+Every output takes one path, :func:`_output_blocks`: a qutrit-1 operator
+is loaded onto rho_2345, only the interaction and measurement schedule
+runs, and the 81 diagonal qutrit-5 blocks are read off.  Exact runs sum
+the blocks heralded on |00> of qutrits 2 and 3, shot runs read all 81
+through each tomography setting, and :func:`heralded_channel_map` feeds
+the nine matrix units.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -223,28 +230,30 @@ def _prepared_register(prep: PulseSchedule, noise, couplings: tuple) -> np.ndarr
     return rho_rest
 
 
-def _prepared(prep: PulseSchedule, noise, couplings: dict) -> np.ndarray:
-    return _prepared_register(prep, noise, tuple(sorted(couplings.items())))
+def _noise(device: DeviceConfig, scale: float, use_echo: bool = False):
+    """The device noise model at rate ``scale``, or None for the ideal
+    circuit at 0; raises ValueError unless ``scale`` is finite and >= 0."""
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"noise_scale must be finite and non-negative, got {scale!r}")
+    return device.noise_model(scale, use_echo=use_echo) if scale > 0 else None
 
 
-# ---------------------------------------------------------------------------
-# exact-mode execution
-# ---------------------------------------------------------------------------
+def _output_blocks(schedules, rho_in: np.ndarray, noise, device: DeviceConfig) -> np.ndarray:
+    """(81, 3, 3): the diagonal qutrit-5 blocks of the protocol output, one
+    per digit string of qutrits 1-4, for the 3x3 operator ``rho_in`` loaded
+    onto qutrit 1 of the prepared register."""
+    prep, rest = schedules
+    couplings = device.coupling_map()
+    rho_2345 = _prepared_register(prep, noise, tuple(sorted(couplings.items())))
+    rho = simulate_density(rest, np.kron(rho_in, rho_2345), couplings=couplings, noise=noise)
+    x = np.arange(81)
+    return rho.reshape(81, 3, 81, 3)[x, :, x, :]
 
 
-def _herald_block(rho: np.ndarray) -> tuple[float, np.ndarray]:
-    """Project qutrits 2 and 3 onto |00> and return (probability, 27-dim
-    block on qutrits 1, 4, 5, unnormalized)."""
-    t = rho.reshape([3] * 10)
-    block = t[:, 0, 0, :, :, :, 0, 0, :, :].reshape(27, 27)
-    p = float(np.trace(block).real)
-    return p, block
-
-
-def _q5_state(block: np.ndarray, p: float) -> DensityState:
-    rho5 = partial_trace(block / p, [3], 3, 3)
-    rho5 = (rho5 + rho5.conj().T) / 2.0
-    return DensityState(rho5, QuditIndexing(3, 1), validate=False)
+def _heralded(blocks: np.ndarray) -> np.ndarray:
+    """Unnormalized qutrit-5 output heralded on qutrits 2 and 3 at |00>,
+    summed over qutrits 1 and 4."""
+    return blocks.reshape(3, 3, 3, 3, 3, 3)[:, 0, 0].sum(axis=(0, 1))
 
 
 def run_teleportation(
@@ -265,7 +274,9 @@ def run_teleportation(
     returns the exact heralded state of qutrit 5; shot mode samples all
     five qutrits through the device confusion matrices, post-selects
     measured (0, 0) on qutrits 2 and 3, and reconstructs qutrit 5 by state
-    tomography on the heralded counts.
+    tomography on the heralded counts.  A negative, NaN or infinite
+    ``noise_scale`` and ``shots`` that are not a positive integer raise
+    ValueError before any simulation.
     """
     if input_state.indexing != QuditIndexing(3, 1):
         raise ValueError("the protocol teleports a single-qutrit state")
@@ -275,23 +286,18 @@ def run_teleportation(
 
 
 def _run_compiled(schedules, input_state, device, noise_scale, shots, seed, label, use_echo_t2):
-    """:func:`run_teleportation` on the compiled (preparation, rest) schedules:
-    the input is loaded onto the shared prepared register and only ``rest``
-    is simulated."""
-    prep, rest = schedules
-    noise = device.noise_model(noise_scale, use_echo=use_echo_t2) if noise_scale > 0 else None
-    couplings = device.coupling_map()
+    """:func:`run_teleportation` on the compiled (preparation, rest) schedules."""
+    noise = _noise(device, noise_scale, use_echo_t2)
+    if shots is not None and not (isinstance(shots, Integral) and shots > 0):
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
     psi = input_state.amplitudes
-    rho0 = np.kron(np.outer(psi, psi.conj()), _prepared(prep, noise, couplings))
-    rho = simulate_density(rest, rho0, couplings=couplings, noise=noise)
-
-    if shots is None:
-        p, block = _herald_block(rho)
-        rho5 = _q5_state(block, p)
-        return TeleportationOutcome(
-            label, p, rho5, state_fidelity(rho5, input_state)
-        )
-    return _run_with_shots(rho, input_state, device, noise, shots, seed, label)
+    blocks = _output_blocks(schedules, np.outer(psi, psi.conj()), noise, device)
+    if shots is not None:
+        return _run_with_shots(blocks, input_state, device, noise, shots, seed, label)
+    out = _heralded(blocks)
+    p = float(np.trace(out).real)
+    rho5 = DensityState((out + out.conj().T) / (2.0 * p), QuditIndexing(3, 1), validate=False)
+    return TeleportationOutcome(label, p, rho5, state_fidelity(rho5, input_state))
 
 
 @functools.lru_cache(maxsize=_TOMOGRAPHY_SETTINGS)
@@ -304,29 +310,27 @@ def _setting_unitary(setting) -> np.ndarray:
     return u
 
 
-def _setting_probabilities(rho: np.ndarray, setting, confusion) -> np.ndarray:
+def _setting_probabilities(blocks: np.ndarray, setting, confusion) -> np.ndarray:
     """Outcome distribution over five-qutrit strings of the circuit output
-    ``rho`` after the tomography pre-rotation of ``setting`` on qutrit 5,
-    read through the per-site ``confusion`` matrices (None: ideal readout).
+    after the tomography pre-rotation of ``setting`` on qutrit 5, read
+    through the per-site ``confusion`` matrices (None: ideal readout).
 
-    The pre-rotation is instantaneous and local, so only the 81 diagonal
-    3x3 qutrit-5 blocks (one per digit string of qutrits 1-4) reach the
+    The pre-rotation is instantaneous and local, so only the output's 81
+    diagonal 3x3 qutrit-5 ``blocks`` (see :func:`_output_blocks`) reach the
     populations; each is conjugated by the pulses' 3x3 unitary.
     """
     u = _setting_unitary(setting)
-    x = np.arange(81)
-    blocks = rho.reshape(81, 3, 81, 3)[x, :, x, :]
     pops = np.einsum("ka,xab,kb->xk", u, blocks, u.conj()).real.reshape(-1)
     return pops if confusion is None else kernels.confusion_mix(pops, confusion)
 
 
-def _run_with_shots(rho_circuit, input_state, device, noise, shots, seed, label):
+def _run_with_shots(blocks, input_state, device, noise, shots, seed, label):
     confusion = device.confusion_matrices() if noise is not None else None
     records = []
     heralded_total = 0
     grand_total = 0
     for task, setting in enumerate(all_settings(1)):
-        probs = _setting_probabilities(rho_circuit, setting, confusion)
+        probs = _setting_probabilities(blocks, setting, confusion)
         counts = shot_rng(seed, task).multinomial(shots, np.clip(probs, 0, None) / probs.sum())
         # qutrit-5 counts of the shots that read (0, 0) on qutrits 2 and 3
         heralded = counts.reshape([3] * N_SITES)[:, 0, 0, :, :].sum(axis=(0, 1))
@@ -404,22 +408,10 @@ def heralded_channel_map(
     normalization is not), so feeding the nine matrix units determines it.
     """
     device = device or load_device()
-    prep, rest = build_protocol_schedules(spec, device)
-    noise = device.noise_model(noise_scale) if noise_scale > 0 else None
-    couplings = device.coupling_map()
-    rho_rest = _prepared(prep, noise, couplings)
-
-    cols = []
-    for a in range(3):
-        for b in range(3):
-            unit = np.zeros((3, 3), dtype=complex)
-            unit[a, b] = 1.0
-            rho_in = np.kron(unit, rho_rest)
-            rho_fin = simulate_density(rest, rho_in, couplings=couplings, noise=noise)
-            _, block = _herald_block(rho_fin)
-            out5 = partial_trace(block, [3], 3, 3)
-            cols.append(out5.reshape(-1))
-    return np.array(cols).T
+    noise = _noise(device, noise_scale)
+    schedules = build_protocol_schedules(spec, device)
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    return np.array([_heralded(_output_blocks(schedules, e, noise, device)).reshape(-1) for e in units]).T
 
 
 def haar_average_unnormalized_fidelity(channel_map: np.ndarray) -> float:
@@ -471,7 +463,7 @@ def compiled_scrambler_channel(
     """
     device = device or load_device()
     arm = build_scrambler_arm(spec, (1, 2), device, logical_first=1, n_sites=2)
-    noise = device.noise_model(noise_scale, use_echo=use_echo_t2) if noise_scale > 0 else None
+    noise = _noise(device, noise_scale, use_echo_t2)
     couplings = {(1, 2): device.pair(1, 2)}
 
     def channel(rho: DensityState) -> DensityState:

@@ -118,6 +118,8 @@ class TomographyRecord:
             freq[idx.digits_to_label(tuple(int(ch) for ch in label))] += c
         if self.shots and abs(freq.sum() - self.shots) > 1e-9:
             raise ValueError("counts do not sum to the declared shot count")
+        if not freq.sum() > 0:
+            raise TomographyError(f"setting {self.setting} has no counts to estimate frequencies from")
         return freq / freq.sum()
 
 

@@ -109,6 +109,18 @@ class TestCli:
         assert run_cli(["otoc"]) == 0  # no config needed
         assert run_cli(["synth-cphase", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("command", [["teleport", "--exact"], ["scramble-qpt", "--exact"]])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_noise_scale_fails_parsing(self, command, value, capsys):
+        assert run_cli(command + ["--noise-scale", value]) == 1
+        assert "--noise-scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["teleport", "scramble-qpt"])
+    @pytest.mark.parametrize("value", ["0", "-5", "2.5"])
+    def test_bad_shot_count_fails_parsing(self, command, value, capsys):
+        assert run_cli([command, "--shots", value]) == 1
+        assert "--shots" in capsys.readouterr().err
+
     def test_singular_synthesis_exits_two(self, tmp_path):
         raw = json.loads(bundled_config_path().read_text())
         raw["pairs"]["q1q2"] = {

@@ -323,7 +323,7 @@ def test_compiled_schedule_cache_hit_is_bitwise_equal_and_read_only():
     again = simulate_density(sched, rho0, dict(couplings), dataclasses.replace(noise), dict(background))
     assert schedules._compiled_ops.cache_info().hits == hits + 1
     assert np.array_equal(first, again)
-    key = (sched, tuple(sorted(couplings.items())), noise, tuple(sorted(background.items())), 3)
+    key = (sched, tuple(sorted(couplings.items())), noise, tuple(sorted(background.items())))
     ops = schedules._compiled_ops(*key)
     # the background (1, 3) coupling flushes the (1, 2) and (2, 3) blocks
     assert [sites for sites, _ in ops] == [(1, 2), (1, 3), (2, 3), (1, 3), (2,)]

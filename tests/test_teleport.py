@@ -20,7 +20,7 @@ from qutritsim.schedules import (
     simulate_density,
     simulate_unitary,
 )
-from qutritsim.tomography import all_settings, setting_rotation
+from qutritsim.tomography import TomographyError, all_settings, setting_rotation
 from qutritsim.teleport import (
     ScramblerSpec,
     average_teleportation_fidelity,
@@ -111,21 +111,25 @@ class TestHeraldedChannel:
             design_average_unnormalized_fidelity(lam) - haar_average_unnormalized_fidelity(lam)
         ) < 1e-8
 
-    def test_noisy_channel_consistency(self, device):
-        lam = heralded_channel_map(SCRAMBLE, device, noise_scale=1.0)
-        assert abs(
-            design_average_unnormalized_fidelity(lam) - haar_average_unnormalized_fidelity(lam)
-        ) < 1e-8
-        # per-state run agrees with the reconstructed linear map
-        ds = design_states()[4]
-        run = run_teleportation(SCRAMBLE, ds.state, device, noise_scale=1.0)
-        v = ds.state.amplitudes
-        rho_in = np.outer(v, v.conj())
-        out = (lam @ rho_in.reshape(-1)).reshape(3, 3)
-        p = np.trace(out).real
-        assert abs(p - run.herald_probability) < 1e-9
-        fid = np.real(v.conj() @ out @ v) / p
-        assert abs(fid - run.fidelity) < 1e-9
+    def test_noisy_channel_consistency(self, device, rng):
+        # per-state runs agree with the reconstructed linear map, on every
+        # design state and on one state outside the design
+        w = rng.normal(size=3) + 1j * rng.normal(size=3)
+        off_design = PureState(w / np.linalg.norm(w), QuditIndexing(3, 1))
+        states = [ds.state for ds in design_states()] + [off_design]
+        for noise_scale in (0.0, 1.0):
+            lam = heralded_channel_map(SCRAMBLE, device, noise_scale=noise_scale)
+            assert abs(
+                design_average_unnormalized_fidelity(lam) - haar_average_unnormalized_fidelity(lam)
+            ) < 1e-8
+            for state in states:
+                run = run_teleportation(SCRAMBLE, state, device, noise_scale=noise_scale)
+                v = state.amplitudes
+                out = (lam @ np.outer(v, v.conj()).reshape(-1)).reshape(3, 3)
+                p = np.trace(out).real
+                assert abs(p - run.herald_probability) < 1e-9
+                fid = np.real(v.conj() @ out @ v) / p
+                assert abs(fid - run.fidelity) < 1e-9
 
 
 @pytest.mark.slow
@@ -248,7 +252,8 @@ class TestPreparedOnce:
 
     def test_prepared_register_is_read_only(self, device):
         prep, _ = teleport.build_protocol_schedules(SCRAMBLE, device)
-        rho = teleport._prepared(prep, device.noise_model(1.0), device.coupling_map())
+        couplings = tuple(sorted(device.coupling_map().items()))
+        rho = teleport._prepared_register(prep, device.noise_model(1.0), couplings)
         assert rho.shape == (81, 81) and not rho.flags.writeable
         assert abs(np.trace(rho) - 1.0) < 1e-12
 
@@ -256,19 +261,21 @@ class TestPreparedOnce:
         prep, _ = teleport.build_protocol_schedules(SCRAMBLE, device)
         moved = PulseSchedule((RotationPulse(1, "01", "x", 0.3),) + prep.items, 5)
         with pytest.raises(teleport.PreparationNotFactorizedError):
-            teleport._prepared(moved, None, device.coupling_map())
+            teleport._prepared_register(moved, None, tuple(sorted(device.coupling_map().items())))
 
     @pytest.mark.parametrize("with_confusion", [False, True])
     def test_setting_probabilities_match_pre_rotation_simulation(self, device, rng, with_confusion):
         a = rng.normal(size=(243, 243)) + 1j * rng.normal(size=(243, 243))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
+        x = np.arange(81)
+        blocks = rho.reshape(81, 3, 81, 3)[x, :, x, :]
         confusion = device.confusion_matrices() if with_confusion else None
         for setting in all_settings(1):
             pre = _rotations(5, decompose_single_qutrit(setting_rotation(setting)))
             rotated = simulate_density(PulseSchedule(pre, 5), rho, device.coupling_map())
             old = measured_probabilities(DensityState(rotated, QuditIndexing(3, 5), validate=False), confusion)
-            new = teleport._setting_probabilities(rho, setting, confusion)
+            new = teleport._setting_probabilities(blocks, setting, confusion)
             assert np.abs(new - old).max() < 1e-14
 
     def test_setting_unitaries_are_built_once_and_read_only(self):
@@ -279,3 +286,38 @@ class TestPreparedOnce:
             assert np.array_equal(cached, rebuilt)
             assert teleport._setting_unitary(setting) is cached
             assert not cached.flags.writeable
+
+
+class TestInputValidation:
+    @pytest.fixture()
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the input was checked")
+
+        monkeypatch.setattr(teleport, "simulate_density", refuse)
+
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_bad_noise_scale_raises_before_simulation(self, device, no_simulation, scale):
+        psi = design_states()[0].state
+        calls = [
+            lambda: run_teleportation(SCRAMBLE, psi, device, noise_scale=scale),
+            lambda: run_teleportation(SCRAMBLE, psi, device, noise_scale=scale, shots=100),
+            lambda: run_design_set(SCRAMBLE, device, noise_scale=scale),
+            lambda: heralded_channel_map(SCRAMBLE, device, noise_scale=scale),
+            lambda: teleport.compiled_scrambler_channel(SCRAMBLE, device, noise_scale=scale),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="noise_scale"):
+                call()
+
+    @pytest.mark.parametrize("shots", [0, -5, 2.5, "10"])
+    def test_bad_shot_count_raises_before_simulation(self, device, no_simulation, shots):
+        with pytest.raises(ValueError, match="shots"):
+            run_teleportation(SCRAMBLE, design_states()[0].state, device, shots=shots)
+        with pytest.raises(ValueError, match="shots"):
+            run_design_set(SCRAMBLE, device, shots=shots)
+
+    def test_no_heralded_shot_is_a_named_error(self, device):
+        # one shot per setting: with probability 1/9 each, none is heralded here
+        with pytest.raises(TomographyError):
+            run_teleportation(SCRAMBLE, design_states()[0].state, device, shots=1, seed=0)

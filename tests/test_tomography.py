@@ -166,6 +166,13 @@ class TestRecordSerialization:
         rec_b = state_tomography(again, None, n=2)
         assert np.abs(rec_a.matrix - rec_b.matrix).max() < 1e-14
 
+    def test_empty_record_raises_named_error(self):
+        from qutritsim.tomography import TomographyRecord
+
+        for counts in ({}, {"0": 0, "2": 0}):
+            with pytest.raises(TomographyError):
+                TomographyRecord((0,), counts, 0, 0).frequencies(n=1)
+
     def test_matrix_export_round_trip(self, rng):
         from qutritsim.tomography import matrix_from_json_obj, matrix_to_json_obj
 

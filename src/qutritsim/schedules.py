@@ -31,6 +31,17 @@ outside it; blocks and site maps still open at the end are emitted last.
 The op list is cached, bounded to 8 entries of read-only arrays, on
 ``(schedule, sorted couplings, noise model, sorted background
 couplings)``, so repeated runs of one schedule pay only the applications.
+
+:func:`simulate_density` is two halves that callers holding rho in the
+superket layout use directly: :func:`density_ops`, the validated, cached
+op-list lookup, and :func:`apply_density_ops`, the one loop that applies
+ops through :func:`.kernels.apply_site_superop` and
+:func:`.kernels.apply_pair_superop`.  Ops on disjoint sites commute, so a
+caller may reorder them across each other exactly.
+
+A schedule computes its hash once, when it is built, because the
+simulation caches hash it as a key on every lookup; equality still
+compares the items.
 """
 
 from __future__ import annotations
@@ -240,6 +251,14 @@ class PulseSchedule:
         for item in self.items:
             bad = [s for s in _sites(item) if not (isinstance(s, Integral) and 1 <= s <= self.n_sites)]
             _check(not bad, "{!r} acts on sites {} that are not integers in 1..{}", item, bad, self.n_sites)
+        object.__setattr__(self, "_hash", hash((self.items, self.n_sites)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild, and so rehash, on unpickling: string hashes differ between processes
+        return (PulseSchedule, (self.items, self.n_sites))
 
     @property
     def total_duration(self) -> float:
@@ -523,9 +542,7 @@ def _check_background(background: dict, n: int) -> None:
 
 @functools.lru_cache(maxsize=_COMPILED_SCHEDULES)
 def _compiled_ops(schedule: PulseSchedule, couplings: tuple, noise, background: tuple) -> tuple:
-    """The density evolution of ``schedule`` as read-only ops ``(sites,
-    superoperator)``, applied in order: a 9x9 map on one site or an
-    81x81 map on the legs of a pair ``(a, b)`` with a < b.
+    """The ops of :func:`density_ops` for ``schedule``, read-only;
     ``couplings`` and ``background`` are sorted (pair, coefficients) items.
     Blocks and flushes are as in the module docstring.
     """
@@ -600,6 +617,40 @@ def _compiled_ops(schedule: PulseSchedule, couplings: tuple, noise, background: 
     return tuple(ops)
 
 
+def density_ops(
+    schedule: PulseSchedule,
+    couplings: dict | None = None,
+    noise: NoiseModel | None = None,
+    background_pairs: dict | None = None,
+) -> tuple:
+    """The schedule's density evolution as cached read-only ops ``(sites,
+    superoperator)``, for :func:`apply_density_ops`: a 9x9 map on one site
+    or an 81x81 map on the legs of a pair ``(a, b)`` with a < b.
+
+    Arguments and errors as in :func:`simulate_density`, which is this
+    lookup followed by :func:`apply_density_ops`.
+    """
+    n = schedule.n_sites
+    covered = n if noise is None else min(len(noise.damping), len(noise.dephasing))
+    if covered < n:
+        raise DimensionMismatchError(f"the noise model covers {covered} sites, the schedule has {n}")
+    background = dict(background_pairs or {})
+    _check_background(background, n)
+    couplings = tuple(sorted((couplings or {}).items()))
+    return _compiled_ops(schedule, couplings, noise, tuple(sorted(background.items())))
+
+
+def apply_density_ops(t: np.ndarray, ops) -> np.ndarray:
+    """Apply ``(sites, superoperator)`` ops in order to a superket ``t``
+    (see :mod:`.kernels`), leg k holding site k + 1."""
+    for sites, s in ops:
+        if len(sites) == 1:
+            t = kernels.apply_site_superop(t, s, *sites)
+        else:
+            t = kernels.apply_pair_superop(t, s, *sites)
+    return t
+
+
 def simulate_density(
     schedule: PulseSchedule,
     rho0: np.ndarray,
@@ -626,20 +677,8 @@ def simulate_density(
     dim = _D**n
     if rho0.shape != (dim, dim):
         raise DimensionMismatchError(f"rho0 has shape {rho0.shape}, expected {(dim, dim)} for {n} sites")
-    covered = n if noise is None else min(len(noise.damping), len(noise.dephasing))
-    if covered < n:
-        raise DimensionMismatchError(f"the noise model covers {covered} sites, the schedule has {n}")
-    background = dict(background_pairs or {})
-    _check_background(background, n)
-    couplings = tuple(sorted((couplings or {}).items()))
-    ops = _compiled_ops(schedule, couplings, noise, tuple(sorted(background.items())))
-    t = kernels.to_superket(rho0, n, _D)
-    for sites, s in ops:
-        if len(sites) == 1:
-            t = kernels.apply_site_superop(t, s, *sites)
-        else:
-            t = kernels.apply_pair_superop(t, s, *sites)
-    return kernels.from_superket(t, n, _D)
+    ops = density_ops(schedule, couplings, noise, background_pairs)
+    return kernels.from_superket(apply_density_ops(kernels.to_superket(rho0, n, _D), ops), n, _D)
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,29 @@ its gate-count-matched identity control compile to controlled-SUM
 skeletons whose controlled-phase cores come from the four-segment
 cross-Kerr synthesis; the two differ only in the solved phase targets.
 
-Two stages do not depend on the input state, and each runs once per
-parameter set in a process.  The protocol is compiled once per
-``(spec, device.pair(1, 2), device.pair(3, 4))``, the values the
-compilation reads.  The preparation of the entangled pairs on (2,3) and
-(4,5) is simulated once per ``(preparation schedule, noise model,
-couplings)``; qutrit 1 stays in |0> through it (the T1/T2 channels fix
-|0><0|), so the prepared register factors as |0><0| x rho_2345.  Both
-caches are bounded and hold immutable schedules and read-only arrays.
+Only qutrit 1 carries the input; everything else runs once per parameter
+set in a process.  The protocol is compiled once per ``(spec,
+device.pair(1, 2), device.pair(3, 4))``, the values the compilation reads.
+Per ``(preparation, rest, noise model, couplings)``, where ``rest`` is the
+interaction and measurement schedule, :func:`_prepared_register` then
+simulates the preparation of the entangled pairs on (2,3) and (4,5).
+Qutrit 1 stays in |0> through it (the T1/T2 channels fix |0><0|), so the
+prepared register factors as |0><0| x rho_2345, which is checked.  The
+same entry hoists ahead of the input every compiled op of ``rest`` whose
+sites avoid qutrit 1 and every site of an earlier per-input op (ops on
+disjoint sites commute): the conjugate arm's (3,4) block and, with
+noise, the site-4 and site-5 channels.  It keeps rho_2345 after them as a
+read-only four-leg superket, with the per-input ops (1,2), (2,3) and, with
+noise, site 1.  Both caches are bounded and hold immutable schedules and
+read-only arrays.
 
-Every output takes one path, :func:`_output_blocks`: a qutrit-1 operator
-is loaded onto rho_2345, only the interaction and measurement schedule
-runs, and the 81 diagonal qutrit-5 blocks are read off.  Exact runs sum
-the blocks heralded on |00> of qutrits 2 and 3, shot runs read all 81
-through each tomography setting, and :func:`heralded_channel_map` feeds
-the nine matrix units.
+Every output takes one path, :func:`_output_blocks`: the row-major vec of
+a qutrit-1 operator is loaded straight onto that superket as its first
+leg, only the per-input ops run, and the 81 diagonal qutrit-5 blocks are
+read off a diagonal view of the result, with no 243x243 matrix built.
+Exact runs sum the blocks heralded on |00> of qutrits 2 and 3, shot runs
+read all 81 through each tomography setting, and
+:func:`heralded_channel_map` feeds the nine matrix units.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ from .scrambling import design_states, scrambler_unitary
 from .schedules import (
     PulseSchedule,
     RotationPulse,
+    apply_density_ops,
+    density_ops,
     parallel_merge,
     simulate_density,
     simulate_unitary,
@@ -73,8 +83,10 @@ from .readout import shot_rng
 
 N_SITES = 5
 _FACTORIZATION_ATOL = 1e-12  # |0><0| x rho_2345 against the prepared register
-# Cache bounds: a compiled protocol is about 200 schedule items and a
-# prepared register 105 KB, so full caches stay well under a megabyte.
+# Cache bounds: a compiled protocol is about 200 schedule items, and a
+# prepared entry is a 105 KB register plus its per-input ops (two 105 KB
+# pair maps, shared with the schedules op-list cache while it holds them),
+# so full caches stay under 3 MB.
 _COMPILED_PROTOCOLS = 8
 _PREPARED_REGISTERS = 8
 _TOMOGRAPHY_SETTINGS = len(all_settings(1))  # one 3x3 pre-rotation each
@@ -206,15 +218,36 @@ def _compile_protocol(spec, pair_12, pair_34) -> tuple[PulseSchedule, PulseSched
     return prep, interaction.then(reversal)
 
 
+def _split_ops(ops) -> tuple[tuple, tuple]:
+    """(hoisted, per-input) ops of ``rest``, each in its original order.
+
+    An op is hoisted ahead of the input load when its sites avoid qutrit 1
+    and every site of an earlier op that stays per-input.  It then commutes
+    with the load and with every per-input op before it, so applying the
+    hoisted ops first and the per-input ops after is exact.
+    """
+    held = {1}
+    hoisted, per_input = [], []
+    for sites, s in ops:
+        if held.isdisjoint(sites):
+            hoisted.append((sites, s))
+        else:
+            held.update(sites)
+            per_input.append((sites, s))
+    return tuple(hoisted), tuple(per_input)
+
+
 @functools.lru_cache(maxsize=_PREPARED_REGISTERS)
-def _prepared_register(prep: PulseSchedule, noise, couplings: tuple) -> np.ndarray:
-    """Read-only 81x81 state of qutrits 2-5 after ``prep`` from |0...0>;
-    ``couplings`` are the device couplings as sorted (pair, coefficients)
-    items.
+def _prepared_register(prep: PulseSchedule, rest: PulseSchedule, noise, couplings: tuple) -> tuple:
+    """(register, per-input ops): the read-only superket of qutrits 2-5,
+    shape (9, 9, 9, 9), after ``prep`` from |0...0> and after the ops of
+    ``rest`` that :func:`_split_ops` hoists, and the ops of ``rest`` left
+    to run once the input is loaded.  ``couplings`` are the device
+    couplings as sorted (pair, coefficients) items.
 
     Raises :class:`PreparationNotFactorizedError` unless the five-qutrit
-    result equals |0><0| x rho_2345, the condition for loading any input
-    onto qutrit 1 afterwards.
+    state after ``prep`` equals |0><0| x rho_2345, the condition for
+    loading any input onto qutrit 1 afterwards.
     """
     rho0 = np.zeros((243, 243), dtype=complex)
     rho0[0, 0] = 1.0
@@ -226,8 +259,12 @@ def _prepared_register(prep: PulseSchedule, noise, couplings: tuple) -> np.ndarr
         raise PreparationNotFactorizedError(
             f"the preparation leaves qutrit 1 off |0><0| x rest by {defect:.3e}"
         )
-    rho_rest.flags.writeable = False
-    return rho_rest
+    hoisted, per_input = _split_ops(density_ops(rest, dict(couplings), noise))
+    # the register's legs hold qutrits 2-5, so a hoisted op's sites shift down by one
+    shifted = [(tuple(site - 1 for site in sites), s) for sites, s in hoisted]
+    register = apply_density_ops(kernels.to_superket(rho_rest, N_SITES - 1, 3), shifted)
+    register.flags.writeable = False
+    return register, per_input
 
 
 def _noise(device: DeviceConfig, scale: float, use_echo: bool = False):
@@ -243,11 +280,11 @@ def _output_blocks(schedules, rho_in: np.ndarray, noise, device: DeviceConfig) -
     per digit string of qutrits 1-4, for the 3x3 operator ``rho_in`` loaded
     onto qutrit 1 of the prepared register."""
     prep, rest = schedules
-    couplings = device.coupling_map()
-    rho_2345 = _prepared_register(prep, noise, tuple(sorted(couplings.items())))
-    rho = simulate_density(rest, np.kron(rho_in, rho_2345), couplings=couplings, noise=noise)
-    x = np.arange(81)
-    return rho.reshape(81, 3, 81, 3)[x, :, x, :]
+    couplings = tuple(sorted(device.coupling_map().items()))
+    register, per_input = _prepared_register(prep, rest, noise, couplings)
+    t = apply_density_ops(np.multiply.outer(np.reshape(rho_in, 9), register), per_input)
+    # leg index 4 * i is the diagonal (i, i) of a site's (row, column) leg
+    return t[::4, ::4, ::4, ::4].reshape(81, 3, 3)
 
 
 def _heralded(blocks: np.ndarray) -> np.ndarray:
@@ -331,7 +368,8 @@ def _run_with_shots(blocks, input_state, device, noise, shots, seed, label):
     grand_total = 0
     for task, setting in enumerate(all_settings(1)):
         probs = _setting_probabilities(blocks, setting, confusion)
-        counts = shot_rng(seed, task).multinomial(shots, np.clip(probs, 0, None) / probs.sum())
+        pvals = np.clip(probs, 0, None)  # round-off can leave entries just below 0
+        counts = shot_rng(seed, task).multinomial(shots, pvals / pvals.sum())
         # qutrit-5 counts of the shots that read (0, 0) on qutrits 2 and 3
         heralded = counts.reshape([3] * N_SITES)[:, 0, 0, :, :].sum(axis=(0, 1))
         kept = int(heralded.sum())

@@ -12,6 +12,7 @@ entries are (1/d^n) Tr[P_i^dag Lambda(P_j)].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -190,6 +191,20 @@ def sensing_matrix(settings: list[MeasurementSetting], n: int, d: int = 3) -> np
     return np.array(rows)
 
 
+# Sensing-matrix cache bound: a one-qutrit entry is 5 KB and a two-qutrit
+# one (16 settings x 9 outcomes x 81 entries) 190 KB.
+_SENSING_MATRICES = 4
+
+
+@functools.lru_cache(maxsize=_SENSING_MATRICES)
+def _sensing(settings: tuple, n: int, d: int) -> tuple[np.ndarray, int]:
+    """Read-only :func:`sensing_matrix` of ``settings`` and its rank,
+    cached: every reconstruction from one setting list shares them."""
+    a = sensing_matrix(list(settings), n, d)
+    a.flags.writeable = False
+    return a, int(np.linalg.matrix_rank(a, tol=1e-10))
+
+
 def psd_project(matrix: np.ndarray) -> np.ndarray:
     """Nearest unit-trace positive matrix: hermitize, clip the spectrum at
     zero, renormalize the trace.  Idempotent and trace preserving for
@@ -220,13 +235,10 @@ def state_tomography(
         raise TomographyError("no tomography records")
     n = n if n is not None else len(records[0].setting)
     dim = d**n
-    settings = [MeasurementSetting(tuple(r.setting)) for r in records]
-    a = sensing_matrix(settings, n, d)
-    if np.linalg.matrix_rank(a, tol=1e-10) < dim * dim:
-        raise TomographyError(
-            f"setting set is informationally incomplete (rank {np.linalg.matrix_rank(a, tol=1e-10)}"
-            f" < {dim * dim})"
-        )
+    settings = tuple(MeasurementSetting(tuple(r.setting)) for r in records)
+    a, rank = _sensing(settings, n, d)
+    if rank < dim * dim:
+        raise TomographyError(f"setting set is informationally incomplete (rank {rank} < {dim * dim})")
     fs = []
     for r in records:
         f = r.frequencies(n, d)

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -439,6 +443,42 @@ def test_json_round_trip_bit_exact():
     again = PulseSchedule.from_json(sched.to_json())
     assert again == sched
     assert again.total_duration == sched.total_duration
+
+
+def test_schedule_hash_is_cached_and_equality_compares_items():
+    def build(angle=np.pi / 3):
+        items = (
+            Evolve(((1, 2),), 104.87e-9),
+            RotationPulse(1, "01", "y", angle),
+            Concurrent((Evolve(((1, 2),), 5e-8), ConditionalPiPulse(3, 4, 5e-8)), 5e-8),
+        )
+        return PulseSchedule(items, 4)
+
+    sched, twin = build(), build()
+    assert sched.items is not twin.items
+    again = PulseSchedule.from_json(sched.to_json())
+    for other in (twin, again):
+        assert other == sched and hash(other) == hash(sched)
+    assert hash(sched) == hash((sched.items, sched.n_sites))
+    assert build(np.pi / 3 + 1e-15) != sched
+    assert PulseSchedule(sched.items, 5) != sched
+    # equal schedules built separately hit one cache entry
+    assert len({sched, twin, again}) == 1
+
+
+def test_unpickled_schedule_rehashes():
+    # string hashes differ between processes, so a hash pickled with the
+    # schedule would not match an equal schedule built here
+    code = (
+        "import pickle, sys; from qutritsim.schedules import PulseSchedule, RotationPulse; "
+        "sys.stdout.buffer.write(pickle.dumps(PulseSchedule((RotationPulse(1, '01', 'y', 0.5),), 2)))"
+    )
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+    data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+    sched = PulseSchedule((RotationPulse(1, "01", "y", 0.5),), 2)
+    loaded = pickle.loads(data)
+    assert loaded == sched and hash(loaded) == hash(sched)
 
 
 def test_total_duration_counts_timed_items():

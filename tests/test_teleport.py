@@ -251,17 +251,65 @@ class TestPreparedOnce:
         assert teleport.build_protocol_schedules(SCRAMBLE, other_kerr)[1] != compiled[1]
 
     def test_prepared_register_is_read_only(self, device):
-        prep, _ = teleport.build_protocol_schedules(SCRAMBLE, device)
+        prep, rest = teleport.build_protocol_schedules(SCRAMBLE, device)
         couplings = tuple(sorted(device.coupling_map().items()))
-        rho = teleport._prepared_register(prep, device.noise_model(1.0), couplings)
-        assert rho.shape == (81, 81) and not rho.flags.writeable
-        assert abs(np.trace(rho) - 1.0) < 1e-12
+        register, per_input = teleport._prepared_register(prep, rest, device.noise_model(1.0), couplings)
+        assert register.shape == (9, 9, 9, 9) and not register.flags.writeable
+        # the hoisted ops are trace preserving: the diagonal legs still sum to 1
+        assert abs(register[::4, ::4, ::4, ::4].sum() - 1.0) < 1e-12
+        assert isinstance(per_input, tuple)
+        for _, s in per_input:
+            assert not s.flags.writeable
+            with pytest.raises(ValueError):
+                s[0, 0] = 0.0
+        assert teleport._prepared_register.cache_info().maxsize == 8
 
     def test_preparation_that_moves_qutrit_1_is_refused(self, device):
-        prep, _ = teleport.build_protocol_schedules(SCRAMBLE, device)
+        prep, rest = teleport.build_protocol_schedules(SCRAMBLE, device)
         moved = PulseSchedule((RotationPulse(1, "01", "x", 0.3),) + prep.items, 5)
         with pytest.raises(teleport.PreparationNotFactorizedError):
-            teleport._prepared_register(moved, None, tuple(sorted(device.coupling_map().items())))
+            teleport._prepared_register(moved, rest, None, tuple(sorted(device.coupling_map().items())))
+
+    @pytest.mark.parametrize(
+        "scale, hoisted, per_input",
+        [(0.0, [(3, 4)], [(1, 2), (2, 3)]), (1.0, [(3, 4), (4,), (5,)], [(1, 2), (2, 3), (1,)])],
+    )
+    def test_protocol_split_hoists_the_input_independent_ops(self, device, scale, hoisted, per_input):
+        _, rest = teleport.build_protocol_schedules(SCRAMBLE, device)
+        noise = device.noise_model(scale) if scale > 0 else None
+        ahead, after = teleport._split_ops(teleport.density_ops(rest, device.coupling_map(), noise))
+        assert [sites for sites, _ in ahead] == hoisted
+        assert [sites for sites, _ in after] == per_input
+
+    def test_split_rule_on_a_synthetic_op_list(self):
+        ops = [((1, 2), "a"), ((2,), "b"), ((3, 4), "c"), ((2, 3), "d"), ((4,), "e"), ((3,), "f"), ((5,), "g")]
+        hoisted, per_input = teleport._split_ops(ops)
+        # site 2 after (1, 2) and site 3 after (2, 3) wait for the input;
+        # (3, 4) after (1, 2) and site 4 after (2, 3) touch no held site
+        assert hoisted == (((3, 4), "c"), ((4,), "e"), ((5,), "g"))
+        assert per_input == (((1, 2), "a"), ((2,), "b"), ((2, 3), "d"), ((3,), "f"))
+        assert teleport._split_ops([((3,), "x"), ((1, 3), "y"), ((3,), "z")]) == (
+            (((3,), "x"),),
+            (((1, 3), "y"), ((3,), "z")),
+        )
+
+    @pytest.mark.parametrize("spec", [SCRAMBLE, IDENTITY])
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    def test_output_blocks_match_the_kron_reference(self, device, rng, spec, scale):
+        prep, rest = schedules = teleport.build_protocol_schedules(spec, device)
+        couplings = device.coupling_map()
+        noise = device.noise_model(scale) if scale > 0 else None
+        rho0 = np.zeros((243, 243), dtype=complex)
+        rho0[0, 0] = 1.0
+        rho_2345 = partial_trace(simulate_density(prep, rho0, couplings, noise), [2, 3, 4, 5], 5, 3)
+        inputs = [np.outer(ds.state.amplitudes, ds.state.amplitudes.conj()) for ds in design_states()]
+        inputs.append(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))  # not Hermitian
+        x = np.arange(81)
+        for rho_in in inputs:
+            ref = simulate_density(rest, np.kron(rho_in, rho_2345), couplings, noise)
+            got = teleport._output_blocks(schedules, rho_in, noise, device)
+            assert got.shape == (81, 3, 3)
+            assert np.abs(got - ref.reshape(81, 3, 81, 3)[x, :, x, :]).max() < 1e-12
 
     @pytest.mark.parametrize("with_confusion", [False, True])
     def test_setting_probabilities_match_pre_rotation_simulation(self, device, rng, with_confusion):
@@ -295,6 +343,7 @@ class TestInputValidation:
             raise AssertionError("simulated before the input was checked")
 
         monkeypatch.setattr(teleport, "simulate_density", refuse)
+        monkeypatch.setattr(teleport, "apply_density_ops", refuse)
 
     @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf"), -float("inf")])
     def test_bad_noise_scale_raises_before_simulation(self, device, no_simulation, scale):
@@ -316,6 +365,29 @@ class TestInputValidation:
             run_teleportation(SCRAMBLE, design_states()[0].state, device, shots=shots)
         with pytest.raises(ValueError, match="shots"):
             run_design_set(SCRAMBLE, device, shots=shots)
+
+    def test_shot_pvals_are_normalized_after_clipping(self, device, monkeypatch):
+        # round-off below zero, exaggerated so an unclipped sum would show
+        probs = np.full(243, 1.0 / 240)
+        probs[:3] = -0.01
+        pvals = []
+        real_rng = teleport.shot_rng
+
+        class Recorder:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def multinomial(self, n, p):
+                pvals.append(p)
+                return self.gen.multinomial(n, p)
+
+        monkeypatch.setattr(teleport, "_setting_probabilities", lambda *a: probs)
+        monkeypatch.setattr(teleport, "shot_rng", lambda *a: Recorder(real_rng(*a)))
+        psi = design_states()[0].state
+        teleport._run_with_shots(None, psi, device, None, 2000, 3, "")
+        assert len(pvals) == 4
+        for p in pvals:
+            assert p.min() >= 0.0 and abs(p.sum() - 1.0) < 1e-15
 
     def test_no_heralded_shot_is_a_named_error(self, device):
         # one shot per setting: with probability 1/9 each, none is heralded here

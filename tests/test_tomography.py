@@ -18,6 +18,7 @@ from qutritsim.scrambling import csum_matrix, scrambler_unitary
 from qutritsim.tomography import (
     MeasurementSetting,
     TomographyError,
+    TomographyRecord,
     all_settings,
     collect_records,
     mub_bases,
@@ -100,6 +101,22 @@ class TestStateTomography:
         ]
         with pytest.raises(TomographyError):
             state_tomography(records, None, n=2)
+
+    def test_sensing_matrix_and_rank_are_cached_read_only(self):
+        from qutritsim import tomography
+
+        settings = tuple(all_settings(2))
+        a, rank = tomography._sensing(settings, 2, 3)
+        assert rank == 81 and not a.flags.writeable
+        assert np.array_equal(a, sensing_matrix(list(settings), 2))
+        assert tomography._sensing(tuple(all_settings(2)), 2, 3)[0] is a
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+        # a rank-deficient list stays a named error on every call, cached or not
+        records = [TomographyRecord((0, 0), None, 0, 0, probabilities=np.ones(9) / 9.0)]
+        for _ in range(2):
+            with pytest.raises(TomographyError, match="rank 9 < 81"):
+                state_tomography(records, None, n=2)
 
     def test_ground_state_exact(self):
         rho = PureState.basis((0,)).density()
